@@ -7,7 +7,8 @@
 //! region. Push counts are deterministic, so the bench *asserts* the
 //! locality claim (repair re-pushes strictly fewer seeds than the full run)
 //! and reports wall-clock times; everything is also emitted as
-//! `BENCH_incremental.json` to seed the performance trajectory.
+//! `BENCH_incremental.json` at the repository root to seed the performance
+//! trajectory.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sigma_bench::{BenchConfig, TablePrinter};
@@ -112,8 +113,9 @@ fn emit_json(rows: &[Row]) {
         ));
     }
     out.push_str("]\n");
-    std::fs::write("BENCH_incremental.json", out).expect("write BENCH_incremental.json");
-    println!("wrote BENCH_incremental.json");
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_incremental.json");
+    std::fs::write(root, out).expect("write BENCH_incremental.json at the repo root");
+    println!("wrote {root}");
 }
 
 fn incremental_repair_benchmarks(_c: &mut Criterion) {

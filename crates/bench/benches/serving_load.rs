@@ -2,16 +2,16 @@
 //! engine, with edge-edit / incremental-repair traffic interleaved into the
 //! query stream.
 //!
-//! Real serving workloads are skewed — a few hub nodes absorb most queries —
-//! and the cache hit rate, and therefore the latency distribution, depends
-//! on that skew. This harness drives the engine with an inverse-CDF Zipfian
-//! sampler (popularity rank decorrelated from node id by a seeded shuffle)
-//! across a grid of skews × batch mixes, applying a deterministic edit batch
-//! plus `repair_from` every `EDIT_EVERY` requests so repairs contend with
-//! queries the way they do in production. The `similarity` mix blends in
-//! top-k `most_similar` lookups, which read operator rows directly and
-//! bypass the Ẑ-row cache — its cache profile against `interactive` shows
-//! what recommendation traffic does (and doesn't do) to the hit rate.
+//! Real serving workloads are skewed — a few hub nodes absorb most queries.
+//! This harness drives the engine with an inverse-CDF Zipfian sampler
+//! (popularity rank decorrelated from node id by a seeded shuffle) across a
+//! grid of skews × batch mixes, applying a deterministic edit batch plus
+//! `repair_from` every `EDIT_EVERY` requests so repairs contend with
+//! queries the way they do in production. The engine serves a materialised
+//! logits table, so a predict is a row lookup whatever the skew; the
+//! repair side records how many table rows each repair recomputes. The
+//! `similarity` mix blends in top-k `most_similar` lookups, which read
+//! operator rows directly.
 //!
 //! Latency quantiles come from the engine's own `sigma-obs` histograms
 //! (`sigma_serve_predict_ns` / `sigma_serve_predict_batch_ns`) — the harness
@@ -20,7 +20,7 @@
 //! dropped first: the registry holds weak references, so the global snapshot
 //! the harness reads is exactly one engine's histograms.
 //!
-//! Results go to stdout and `BENCH_serving.json` (crate dir + repo root).
+//! Results go to stdout and `BENCH_serving.json` at the repository root.
 //! Pass `--quick` for the CI-sized run.
 
 use rand::rngs::StdRng;
@@ -80,9 +80,8 @@ struct BatchMix {
     /// through `predict_batch`.
     sizes: &'static [(usize, u32)],
     /// Percentage of requests that are top-k `most_similar` lookups instead
-    /// of predicts. Similarity reads operator rows directly and never
-    /// touches the Ẑ-row cache, so mixes with similarity traffic profile
-    /// the cache differently than pure predict mixes.
+    /// of predicts. Similarity reads operator rows directly instead of the
+    /// logits table.
     similar_pct: u32,
 }
 
@@ -114,9 +113,7 @@ const MIXES: &[BatchMix] = &[
         similar_pct: 0,
     },
     // Recommendation traffic: half the requests are top-k similar-nodes
-    // lookups over the same Zipfian popularity. Those bypass the Ẑ-row
-    // cache entirely, so the hit-rate and eviction contrast against
-    // `interactive` is the signal this mix exists to record.
+    // lookups over the same Zipfian popularity, ranked off operator rows.
     BatchMix {
         name: "similarity",
         sizes: &[(1, 70), (4, 20), (16, 10)],
@@ -146,9 +143,9 @@ struct ConfigResult {
     /// Top-k similarity queries served (zero for pure predict mixes).
     similar_queries: u64,
     similar: HistogramSnapshot,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evictions: u64,
+    /// Logits-table rows recomputed across all repairs, summed over shards
+    /// (each fanned shard also recomputes the edited nodes' own rows).
+    rows_recomputed: u64,
     rows_repaired: u64,
     dirty_seeds: u64,
     /// Shards that received repair traffic across all rounds (the
@@ -156,6 +153,12 @@ struct ConfigResult {
     repair_fanout: u64,
     /// Shards skipped by footprint-sparse repair fan-out.
     repair_skipped: u64,
+}
+
+impl ConfigResult {
+    fn rows_recomputed_per_repair(&self) -> f64 {
+        self.rows_recomputed as f64 / self.repairs.max(1) as f64
+    }
 }
 
 /// Pulls one named histogram out of the global metrics snapshot.
@@ -192,24 +195,11 @@ fn run_config(
 ) -> ConfigResult {
     let n = graph.num_nodes();
     // Fresh maintainer per config (deterministic, so its operator matches
-    // the shared snapshot) and a cache sized for pressure, not residence —
-    // total capacity held constant across shard counts so hit rates stay
-    // comparable (per-shard caches split the same budget).
+    // the shared snapshot).
     let mut maintainer =
         DynamicSimRank::new(graph.clone(), simrank, usize::MAX / 2).expect("maintainer");
     let _ = maintainer.operator().expect("initial operator");
-    let engine = ShardRouter::new(
-        snapshot,
-        &ShardRouterConfig {
-            shards,
-            engine: EngineConfig {
-                cache_capacity: (n / 4 / shards).max(1),
-                workers: 0,
-                max_chunk: 64,
-            },
-        },
-    )
-    .expect("shard router");
+    let engine = ShardRouter::new(snapshot, &ShardRouterConfig { shards }).expect("shard router");
 
     let sampler = ZipfSampler::new(n, skew, 7);
     let mut rng = StdRng::seed_from_u64((skew * 1000.0) as u64 ^ mix.name.len() as u64);
@@ -264,9 +254,7 @@ fn run_config(
         predict_batch,
         similar_queries: stats.engines.similar_queries,
         similar,
-        cache_hits: stats.engines.cache_hits,
-        cache_misses: stats.engines.cache_misses,
-        cache_evictions: stats.engines.cache_evictions,
+        rows_recomputed: stats.engines.rows_invalidated,
         rows_repaired: stats.engines.rows_repaired,
         dirty_seeds: stats.repair_dirty_seeds,
         repair_fanout: stats.repair_fanout,
@@ -436,7 +424,10 @@ fn emit_json(quick: bool, n: usize, edges: usize, results: &[ConfigResult], wire
         "  \"note\": \"latency quantiles are read from the engine's sigma-obs histograms \
          (bucket upper bounds, <= 12.5% relative error); absolute numbers are single-host and \
          the in-process pool shares cores with the load generator — cross-config ratios \
-         (skew and batch-mix effects on hit rate and tail latency) are the portable signal\",\n",
+         (skew and batch-mix effects on tail latency) are the portable signal; lookup is the \
+         single-predict latency (a logits-table row read; 0 when a mix issues no single \
+         predicts), rows_recomputed_per_repair sums \
+         the table rows every fanned shard recomputed\",\n",
     );
     out.push_str(&format!(
         "  \"graph\": {{\"nodes\": {n}, \"edges\": {edges}}},\n"
@@ -447,7 +438,6 @@ fn emit_json(quick: bool, n: usize, edges: usize, results: &[ConfigResult], wire
     ));
     out.push_str("  \"configs\": [\n");
     for (i, r) in results.iter().enumerate() {
-        let hit_rate = r.cache_hits as f64 / (r.cache_hits + r.cache_misses).max(1) as f64;
         out.push_str(&format!(
             "    {{\"shards\": {}, \"skew\": {}, \"mix\": \"{}\", \"requests\": {}, \
              \"nodes_served\": {}, \
@@ -455,8 +445,8 @@ fn emit_json(quick: bool, n: usize, edges: usize, results: &[ConfigResult], wire
              \"throughput_requests_per_s\": {:.1}, \"throughput_nodes_per_s\": {:.1}, \
              \"latency\": {}, \"predict\": {}, \"predict_batch\": {}, \
              \"similar\": {{\"queries\": {}, \"latency\": {}}}, \
-             \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-             \"hit_rate\": {:.4}}}, \
+             \"table\": {{\"lookup_p50_ns\": {}, \"lookup_p99_ns\": {}, \
+             \"rows_recomputed_per_repair\": {:.1}}}, \
              \"repair\": {{\"rows_repaired\": {}, \"dirty_seeds\": {}, \
              \"shard_fanout\": {}, \"shard_skipped\": {}}}}}{}\n",
             r.shards,
@@ -473,10 +463,9 @@ fn emit_json(quick: bool, n: usize, edges: usize, results: &[ConfigResult], wire
             quantiles_json(&r.predict_batch),
             r.similar_queries,
             quantiles_json(&r.similar),
-            r.cache_hits,
-            r.cache_misses,
-            r.cache_evictions,
-            hit_rate,
+            r.predict.quantile(0.50),
+            r.predict.quantile(0.99),
+            r.rows_recomputed_per_repair(),
             r.rows_repaired,
             r.dirty_seeds,
             r.repair_fanout,
@@ -504,11 +493,9 @@ fn emit_json(quick: bool, n: usize, edges: usize, results: &[ConfigResult], wire
     ));
     out.push_str("}\n");
 
-    let here = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_serving.json");
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    std::fs::write(here, &out).expect("write crates/bench/BENCH_serving.json");
     std::fs::write(root, &out).expect("write BENCH_serving.json at the repo root");
-    println!("wrote {here} (copied to the repository root)");
+    println!("wrote {root}");
 }
 
 fn main() {
@@ -557,15 +544,24 @@ fn main() {
     .expect("serve snapshot");
 
     let mut table = TablePrinter::new(vec![
-        "shards", "skew", "mix", "req/s", "p50 µs", "p95 µs", "p99 µs", "hit rate", "sim q",
-        "repairs", "fanout",
+        "shards",
+        "skew",
+        "mix",
+        "req/s",
+        "p50 µs",
+        "p95 µs",
+        "p99 µs",
+        "lookup µs",
+        "sim q",
+        "repairs",
+        "rows/repair",
+        "fanout",
     ]);
     let mut results = Vec::new();
     for &shards in SHARD_COUNTS {
         for &skew in SKEWS {
             for mix in MIXES {
                 let r = run_config(&graph, &snapshot, simrank, shards, skew, mix, requests);
-                let hits = r.cache_hits as f64 / (r.cache_hits + r.cache_misses).max(1) as f64;
                 table.add_row(vec![
                     format!("{shards}"),
                     format!("{skew}"),
@@ -574,9 +570,15 @@ fn main() {
                     format!("{:.1}", r.latency.quantile(0.50) as f64 / 1e3),
                     format!("{:.1}", r.latency.quantile(0.95) as f64 / 1e3),
                     format!("{:.1}", r.latency.quantile(0.99) as f64 / 1e3),
-                    format!("{hits:.3}"),
+                    // Bulk mixes issue no single predicts.
+                    if r.predict.count == 0 {
+                        "-".to_string()
+                    } else {
+                        format!("{:.1}", r.predict.quantile(0.50) as f64 / 1e3)
+                    },
                     format!("{}", r.similar_queries),
                     format!("{}", r.repairs),
+                    format!("{:.1}", r.rows_recomputed_per_repair()),
                     format!("{}/{}", r.repair_fanout, r.repair_fanout + r.repair_skipped),
                 ]);
                 results.push(r);

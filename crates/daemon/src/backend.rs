@@ -87,8 +87,8 @@ impl Backend {
         }
     }
 
-    /// Applies edge updates to the staleness tracker; returns cached rows
-    /// invalidated.
+    /// Applies edge updates to the staleness tracker; returns the number of
+    /// rows marked stale.
     pub fn apply_edge_updates(&self, updates: &[EdgeUpdate]) -> Result<usize> {
         match self {
             Backend::Engine(e) => e.apply_edge_updates(updates),

@@ -100,10 +100,7 @@ fn main() {
 
 fn build_backend(path: &str, shards: usize) -> Result<Backend, sigma_serve::ServeError> {
     if shards > 1 {
-        let config = ShardRouterConfig {
-            shards,
-            engine: EngineConfig::default(),
-        };
+        let config = ShardRouterConfig { shards };
         // A sharded backend plans its shards from one decoded snapshot
         // (the per-shard mapped path wants pre-sharded snapshot files).
         let router = ShardRouter::new(&ServeSnapshot::load(path)?, &config)?;

@@ -535,8 +535,8 @@ fn prediction_json_into(out: &mut String, p: &Prediction) {
     use std::fmt::Write as _;
     let _ = write!(
         out,
-        "{{\"node\": {}, \"label\": {}, \"cached\": {}, \"stale\": {}, \"logits\": [",
-        p.node, p.label, p.cached, p.stale
+        "{{\"node\": {}, \"label\": {}, \"stale\": {}, \"logits\": [",
+        p.node, p.label, p.stale
     );
     for (i, logit) in p.logits.iter().enumerate() {
         if i > 0 {
@@ -867,9 +867,10 @@ fn handle_stats(shared: &Shared) -> Response {
          \"deadline_shed\": {}, \"batch_shed\": {}, \"parse_rejects\": {}, \
          \"read_timeouts\": {}, \"handler_panics\": {}, \"coalesced_predicts\": {}, \
          \"batch_flushes\": {}, \"reloads\": {}, \"queue_depth\": {}, \"inflight\": {}}},\n\
-         \"engine\": {{\"queries\": {}, \"similar_queries\": {}, \"cache_hits\": {}, \
-         \"cache_misses\": {}, \"batches_served\": {}, \"rows_sliced\": {}, \
-         \"stale_serves\": {}}},\n\
+         \"engine\": {{\"nodes_served\": {}, \"batches_served\": {}, \
+         \"rows_invalidated\": {}, \"operator_refreshes\": {}, \"operator_repairs\": {}, \
+         \"rows_repaired\": {}, \"embedding_rows_repaired\": {}, \
+         \"repair_dirty_seeds\": {}, \"snapshot_reloads\": {}, \"similar_queries\": {}}},\n\
          \"registry\": {}}}",
         d.connections_accepted,
         d.connections_shed,
@@ -888,12 +889,15 @@ fn handle_stats(shared: &Shared) -> Response {
         d.queue_depth,
         d.inflight,
         e.nodes_served,
-        e.similar_queries,
-        e.cache_hits,
-        e.cache_misses,
         e.batches_served,
         e.rows_invalidated,
+        e.operator_refreshes,
+        e.operator_repairs,
+        e.rows_repaired,
+        e.embedding_rows_repaired,
+        e.repair_dirty_seeds,
         e.snapshot_reloads,
+        e.similar_queries,
         registry,
     );
     Response::json(200, body)

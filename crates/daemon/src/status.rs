@@ -20,7 +20,6 @@ pub fn kind_for(error: &ServeError) -> &'static str {
         ServeError::InvalidQuery { .. } => "invalid_query",
         ServeError::NoOperator => "no_operator",
         ServeError::OperatorMismatch { .. } => "operator_mismatch",
-        ServeError::WorkerConfig { .. } => "worker_config",
         ServeError::ShardConfig { .. } => "shard_config",
         ServeError::Shard { source, .. } => kind_for(source),
         ServeError::Snapshot(_) => "snapshot_format",
@@ -55,7 +54,6 @@ pub fn status_for(error: &ServeError) -> u16 {
         ServeError::Snapshot(e) => status_for_snapshot(e),
         // Server-side failures: configuration and engine internals.
         ServeError::Io(_) => 500,
-        ServeError::WorkerConfig { .. } => 500,
         ServeError::ShardConfig { .. } => 500,
         ServeError::Model(_) => 500,
         ServeError::Matrix(_) => 500,
@@ -134,15 +132,6 @@ mod tests {
                 },
                 409,
                 "operator_mismatch",
-            ),
-            (
-                ServeError::WorkerConfig {
-                    workers: 9,
-                    pool_threads: 1,
-                    reason: "r",
-                },
-                500,
-                "worker_config",
             ),
             (
                 ServeError::ShardConfig {

@@ -18,8 +18,8 @@ fn fixture_graph(seed: u64) -> Graph {
 }
 
 /// Decodes `{"node":…, "label":…, "logits":[…]}` into a comparable triple;
-/// `cached`/`stale` are intentionally ignored (they depend on query order,
-/// not on the model).
+/// `stale` is intentionally ignored (it depends on the edit history, not on
+/// the model).
 fn decode_prediction(value: &json::Json) -> (usize, usize, Vec<u32>) {
     let node = value.get("node").and_then(json::Json::as_index).unwrap();
     let label = value.get("label").and_then(json::Json::as_index).unwrap();
@@ -109,14 +109,8 @@ fn predict_batch_is_bitwise_equal_and_order_preserving() {
 #[test]
 fn sharded_backend_is_bitwise_equal_over_the_wire() {
     let fixture = serving_fixture(&fixture_graph(13), 4, 13);
-    let router = ShardRouter::new(
-        &fixture.snapshot,
-        &ShardRouterConfig {
-            shards: 4,
-            engine: EngineConfig::default(),
-        },
-    )
-    .expect("router");
+    let router =
+        ShardRouter::new(&fixture.snapshot, &ShardRouterConfig { shards: 4 }).expect("router");
     let reference =
         InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).expect("reference");
     let daemon = Daemon::start(
@@ -212,11 +206,25 @@ fn stats_and_metrics_endpoints_parse() {
     let fixture = serving_fixture(&fixture_graph(16), 4, 16);
     let engine =
         Arc::new(InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).expect("engine"));
-    let daemon =
-        Daemon::start(Backend::Engine(engine), None, DaemonConfig::default()).expect("daemon");
+    let daemon = Daemon::start(
+        Backend::Engine(engine.clone()),
+        None,
+        DaemonConfig::default(),
+    )
+    .expect("daemon");
     let addr = daemon.local_addr();
 
+    // Move as many engine counters as the wire can reach.
     let _ = wire::post_json(addr, "/v1/predict", "{\"node\": 1}").expect("predict");
+    let _ = wire::post_json(addr, "/v1/predict_batch", "{\"nodes\": [2, 3]}").expect("batch");
+    let _ = wire::post_json(addr, "/v1/similar", "{\"node\": 1, \"k\": 3}").expect("similar");
+    let resp = wire::post_json(
+        addr,
+        "/v1/edges",
+        "{\"updates\": [{\"op\": \"insert\", \"u\": 0, \"v\": 9}]}",
+    )
+    .expect("edges");
+    assert_eq!(resp.status, 200, "body: {}", resp.body_str());
 
     let stats = wire::get(addr, "/v1/stats").expect("stats");
     assert_eq!(stats.status, 200);
@@ -229,7 +237,31 @@ fn stats_and_metrics_endpoints_parse() {
             .unwrap()
             >= 1
     );
-    assert!(value.get("engine").is_some());
+    // The engine section reports every `EngineStats` counter under the
+    // field's own name; the always-zero cache fields stay off the wire.
+    let e = engine.stats();
+    let expected = [
+        ("nodes_served", e.nodes_served),
+        ("batches_served", e.batches_served),
+        ("rows_invalidated", e.rows_invalidated),
+        ("operator_refreshes", e.operator_refreshes),
+        ("operator_repairs", e.operator_repairs),
+        ("rows_repaired", e.rows_repaired),
+        ("embedding_rows_repaired", e.embedding_rows_repaired),
+        ("repair_dirty_seeds", e.repair_dirty_seeds),
+        ("snapshot_reloads", e.snapshot_reloads),
+        ("similar_queries", e.similar_queries),
+    ];
+    let reported: Vec<(String, u64)> = match value.get("engine").expect("engine section") {
+        json::Json::Obj(members) => members
+            .iter()
+            .map(|(k, v)| (k.clone(), v.as_index().expect("counter") as u64))
+            .collect(),
+        other => panic!("engine section is not an object: {other:?}"),
+    };
+    let expected: Vec<(String, u64)> = expected.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+    assert_eq!(reported, expected);
+    assert!(e.nodes_served >= 3 && e.similar_queries >= 1 && e.rows_invalidated >= 1);
     assert!(value.get("registry").is_some());
 
     let metrics = wire::get(addr, "/metrics").expect("metrics");
@@ -366,14 +398,8 @@ fn reload_swaps_to_the_new_snapshot_bitwise() {
 #[test]
 fn reload_is_not_implemented_for_sharded_backends() {
     let fixture = serving_fixture(&fixture_graph(20), 4, 20);
-    let router = ShardRouter::new(
-        &fixture.snapshot,
-        &ShardRouterConfig {
-            shards: 2,
-            engine: EngineConfig::default(),
-        },
-    )
-    .expect("router");
+    let router =
+        ShardRouter::new(&fixture.snapshot, &ShardRouterConfig { shards: 2 }).expect("router");
     let daemon = Daemon::start(
         Backend::Router(Arc::new(router)),
         None,

@@ -87,14 +87,8 @@ fn similar_is_bitwise_equal_to_in_process_engine() {
 #[test]
 fn sharded_similar_is_bitwise_equal_over_the_wire() {
     let fixture = serving_fixture(&fixture_graph(32), 4, 32);
-    let router = ShardRouter::new(
-        &fixture.snapshot,
-        &ShardRouterConfig {
-            shards: 4,
-            engine: EngineConfig::default(),
-        },
-    )
-    .expect("router");
+    let router =
+        ShardRouter::new(&fixture.snapshot, &ShardRouterConfig { shards: 4 }).expect("router");
     let reference =
         InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).expect("reference");
     let daemon = Daemon::start(

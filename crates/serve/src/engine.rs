@@ -1,119 +1,48 @@
 //! The online inference engine.
 //!
-//! [`InferenceEngine::new`] takes a [`ServeSnapshot`] and precomputes the
-//! full-graph embedding `H = MLP_H(δ·MLP_X(X) + (1−δ)·MLP_A(A))` once. A
-//! query for a batch of `b` nodes then costs `O(b·k·f)`: the engine gathers
-//! the batch's rows of the constant top-k operator `S` with
-//! `CsrMatrix::spmm_rows` and blends them with the local embedding
-//! (`Z_u = (1−α)·(S·H)_u + α·H_u`, paper Eq. 5–6) — no full-graph SpMM, no
-//! MLP re-execution. Aggregated rows `Ẑ_u` are memoised in a bounded LRU
-//! cache, and large batches are chunked across the shared thread pool.
+//! SIGMA's aggregation operator `S` is a one-time precompute (paper
+//! Eq. 5–6), so the served answer `Z = (1−α)·S·H + α·H` is a fixed
+//! `n × C` table — the same size as the embedding `H` every engine already
+//! holds. [`InferenceEngine::new`] takes a [`ServeSnapshot`], precomputes
+//! the full-graph embedding `H = MLP_H(δ·MLP_X(X) + (1−δ)·MLP_A(A))` once
+//! and materialises `Z` with one SpMM; a query is then a row read.
 //!
 //! The engine also consumes `sigma_simrank::dynamic` edge updates: edits
-//! invalidate exactly the cached rows whose operator entries can change
+//! mark stale exactly the rows whose operator entries can change
 //! (endpoints, their neighbours, and every row referencing them), and a
 //! refreshed operator from [`sigma_simrank::DynamicSimRank`] can be swapped
 //! in without rebuilding the engine. On top of the full swap,
 //! [`InferenceEngine::repair_from`] performs **incremental repair**: it asks
 //! the maintainer for the exact set of operator rows an edit trace changed,
 //! patches those rows (and the `H` rows of the edited nodes — the encoder is
-//! row-local, so the patch is bitwise identical to a full re-encode) in
-//! place, and evicts only the affected cache entries instead of dropping the
-//! whole cache with an operator-epoch bump.
+//! row-local, so the patch is bitwise identical to a full re-encode), and
+//! recomputes only the affected `Z` rows with the row-sliced kernel, which
+//! runs the same per-row loop as the full SpMM — so a repaired table is
+//! bitwise the table a rebuild computes.
 //!
-//! Concurrency comes from the process-wide [`sigma_parallel::ThreadPool`]
-//! shared with the training kernels — the engine no longer owns threads of
-//! its own. Large batches are chunked and fanned out as scoped tasks; the
-//! [`EngineConfig::workers`] knob bounds how many chunks run concurrently
-//! and is validated against the shared pool's size at construction.
 //! Maintenance calls ([`InferenceEngine::install_operator`],
-//! [`InferenceEngine::repair_from`]) may race queries freely, but must not
-//! race each other — run them from a single maintenance thread.
+//! [`InferenceEngine::repair_from`], the hot reloads) may race queries
+//! freely, but must not race each other — run them from a single
+//! maintenance thread.
 
-use crate::cache::LruCache;
 use crate::forward::{compute_embeddings, compute_embeddings_rows};
 use crate::mmap::MappedSnapshot;
 use crate::snapshot::ServeSnapshot;
 use crate::store::{CsrSection, CsrStore, DenseSection, DenseStore, ModelRef};
 use crate::{Result, ServeError};
-use sigma_matrix::{CsrMatrix, CsrViewAny, DenseMatrix};
+use sigma_matrix::{CsrMatrix, CsrViewAny, DenseMatrix, DenseView};
 use sigma_obs::{Counter, Histogram, Registry, Stopwatch};
-use sigma_parallel::ThreadPool;
 use sigma_simrank::{DynamicSimRank, EdgeUpdate, RepairOutcome};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-/// Tuning knobs of the [`InferenceEngine`].
-#[derive(Debug, Clone, Copy)]
-pub struct EngineConfig {
-    /// Maximum number of aggregated rows (`Ẑ_u`) kept in the LRU cache
-    /// (0 disables caching).
-    pub cache_capacity: usize,
-    /// Maximum batch chunks served concurrently on the shared
-    /// [`sigma_parallel::ThreadPool`]. `0` means *auto*: use the pool's full
-    /// capacity. Explicit values are validated against the pool size at
-    /// engine construction ([`ServeError::WorkerConfig`]).
-    pub workers: usize,
-    /// Batches larger than this are split into chunks of at most this many
-    /// nodes and fanned out across the shared pool. Must be non-zero.
-    pub max_chunk: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            cache_capacity: 4096,
-            workers: 0,
-            max_chunk: 256,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Validates the configuration against the shared pool's current size.
-    ///
-    /// Rejects zero-capacity setups — `max_chunk == 0` (chunks could hold no
-    /// nodes) and `workers` exceeding the shared pool (the extra workers
-    /// could never run concurrently, silently degrading to less parallelism
-    /// than requested) — with a typed [`ServeError::WorkerConfig`] instead
-    /// of silently serving inline.
-    ///
-    /// The check is point-in-time: the global pool can be resized later
-    /// (e.g. by `sigma_parallel::set_global_threads`), in which case
-    /// [`EngineConfig::effective_workers`] clamps to the width available at
-    /// serve time — safe either way, since results are identical at any
-    /// width.
-    pub fn validate(&self, pool: &ThreadPool) -> Result<()> {
-        let pool_threads = pool.num_threads();
-        if self.max_chunk == 0 {
-            return Err(ServeError::WorkerConfig {
-                workers: self.workers,
-                pool_threads,
-                reason: "max_chunk must be non-zero (a zero-capacity chunk can serve no nodes)",
-            });
-        }
-        if self.workers > pool_threads {
-            return Err(ServeError::WorkerConfig {
-                workers: self.workers,
-                pool_threads,
-                reason: "workers exceed the shared pool size (set SIGMA_NUM_THREADS or \
-                         sigma_parallel::set_global_threads, or lower workers; 0 = auto)",
-            });
-        }
-        Ok(())
-    }
-
-    /// The concurrent-chunk bound actually used at serve time: the explicit
-    /// `workers` value, or the shared pool's capacity when `workers == 0`.
-    pub fn effective_workers(&self, pool: &ThreadPool) -> usize {
-        if self.workers == 0 {
-            pool.num_threads()
-        } else {
-            self.workers.min(pool.num_threads())
-        }
-    }
-}
+/// Construction options of the [`InferenceEngine`].
+///
+/// Empty: the engine serves a materialised logits table and has nothing
+/// left to tune. The type stays so existing constructor calls keep
+/// compiling.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EngineConfig {}
 
 /// The served answer for one node.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,8 +53,6 @@ pub struct Prediction {
     pub logits: Vec<f32>,
     /// `argmax` of the logits.
     pub label: usize,
-    /// Whether the aggregated row was served from the cache.
-    pub cached: bool,
     /// Whether pending edge updates may have invalidated this node's
     /// operator row (served value may be stale until the next refresh).
     pub stale: bool,
@@ -157,10 +84,9 @@ pub struct SimilarNode {
 ///   of its counter, and successive snapshots never observe a field
 ///   decreasing.
 /// * **No cross-counter consistency.** A snapshot taken while queries are in
-///   flight may *tear* between fields: a batch bumps `cache_misses` before
-///   `nodes_served`, so derived identities (e.g. `cache_hits + cache_misses
-///   == nodes_served`) can be transiently off by in-flight requests. They
-///   hold exactly once the engine quiesces.
+///   flight may *tear* between fields: a batch bumps `nodes_served` before
+///   `batches_served`, so derived identities can be transiently off by
+///   in-flight requests. They hold exactly once the engine quiesces.
 ///
 /// This is deliberate: serving never pays a stats lock. Tests that assert
 /// cross-field identities must stop issuing queries first (see
@@ -171,20 +97,21 @@ pub struct EngineStats {
     pub nodes_served: u64,
     /// Total batches served.
     pub batches_served: u64,
-    /// Aggregated rows found in the cache.
+    /// Always 0: the engine serves a materialised table and has no row
+    /// cache. Kept so existing readers of the field keep compiling.
     pub cache_hits: u64,
-    /// Aggregated rows recomputed via the row-sliced kernel.
+    /// Always 0 (no row cache; see `cache_hits`).
     pub cache_misses: u64,
-    /// Cached rows displaced by LRU capacity pressure (distinct from
-    /// `rows_invalidated`, which counts correctness-driven drops).
+    /// Always 0 (no row cache; see `cache_hits`).
     pub cache_evictions: u64,
-    /// Cached rows dropped by edge-update invalidation or repair.
+    /// Served rows invalidated: rows marked stale by edge updates plus
+    /// `Z` rows recomputed by repairs (every row on a full refresh).
     pub rows_invalidated: u64,
     /// Operator swap-ins from a refreshed maintainer (whole-operator path;
-    /// drops the entire cache).
+    /// recomputes the whole table).
     pub operator_refreshes: u64,
     /// Incremental repairs applied by [`InferenceEngine::repair_from`]
-    /// (row-patch path; keeps unaffected cache entries).
+    /// (row-patch path; recomputes only the affected rows).
     pub operator_repairs: u64,
     /// Operator rows patched in place across all repairs.
     pub rows_repaired: u64,
@@ -199,9 +126,8 @@ pub struct EngineStats {
     pub snapshot_reloads: u64,
     /// Top-k similarity queries served ([`InferenceEngine::most_similar`]
     /// and [`InferenceEngine::most_similar_batch`], counted per query).
-    /// Similarity traffic reads operator rows directly and never touches
-    /// the `Ẑ` cache, so this counter moves while `cache_hits`/`cache_misses`
-    /// stay put — the cache-profile difference the serving bench records.
+    /// Similarity traffic reads operator rows directly, so this counter
+    /// moves while `nodes_served` stays put.
     pub similar_queries: u64,
 }
 
@@ -218,9 +144,6 @@ pub struct EngineStats {
 struct EngineMetrics {
     nodes_served: Arc<Counter>,
     batches_served: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
     rows_invalidated: Arc<Counter>,
     operator_refreshes: Arc<Counter>,
     operator_repairs: Arc<Counter>,
@@ -243,9 +166,6 @@ impl EngineMetrics {
         let metrics = Self {
             nodes_served: Arc::new(Counter::new()),
             batches_served: Arc::new(Counter::new()),
-            cache_hits: Arc::new(Counter::new()),
-            cache_misses: Arc::new(Counter::new()),
-            cache_evictions: Arc::new(Counter::new()),
             rows_invalidated: Arc::new(Counter::new()),
             operator_refreshes: Arc::new(Counter::new()),
             operator_repairs: Arc::new(Counter::new()),
@@ -267,32 +187,17 @@ impl EngineMetrics {
             );
             registry.register_arc_counter(
                 "sigma_serve_batches_served_total",
-                "serve_batch calls completed",
+                "predict/predict_batch calls completed",
                 &metrics.batches_served,
             );
             registry.register_arc_counter(
-                "sigma_serve_cache_hits_total",
-                "aggregated rows served from the LRU cache",
-                &metrics.cache_hits,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_cache_misses_total",
-                "aggregated rows recomputed via the row-sliced kernel",
-                &metrics.cache_misses,
-            );
-            registry.register_arc_counter(
-                "sigma_serve_cache_evictions_total",
-                "cached rows displaced by LRU capacity pressure",
-                &metrics.cache_evictions,
-            );
-            registry.register_arc_counter(
                 "sigma_serve_rows_invalidated_total",
-                "cached rows dropped by edge-update invalidation or repair",
+                "served rows marked stale by edge updates or recomputed by repairs",
                 &metrics.rows_invalidated,
             );
             registry.register_arc_counter(
                 "sigma_serve_operator_refreshes_total",
-                "whole-operator swap-ins (cache-dropping path)",
+                "whole-operator swap-ins (whole-table recompute)",
                 &metrics.operator_refreshes,
             );
             registry.register_arc_counter(
@@ -350,9 +255,9 @@ impl EngineMetrics {
         EngineStats {
             nodes_served: self.nodes_served.get(),
             batches_served: self.batches_served.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            cache_evictions: self.cache_evictions.get(),
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_evictions: 0,
             rows_invalidated: self.rows_invalidated.get(),
             operator_refreshes: self.operator_refreshes.get(),
             operator_repairs: self.operator_repairs.get(),
@@ -384,23 +289,37 @@ impl OperatorState {
         }
     }
 
-    /// The transposed operator, built on first use and cached until the
-    /// matrix is next patched.
+    /// The transposed operator, built on first use.
     fn reverse(&self) -> &CsrMatrix {
         self.reverse
             .get_or_init(|| self.matrix.view().transpose_owned())
     }
+
+    /// Rows whose entries reference any of `nodes` (unsorted, deduplicated).
+    fn referencing(&self, nodes: impl IntoIterator<Item = usize>) -> HashSet<usize> {
+        let reverse = self.reverse();
+        let mut rows = HashSet::new();
+        for node in nodes {
+            if node < reverse.rows() {
+                rows.extend(reverse.row_iter(node).map(|(row, _)| row));
+            }
+        }
+        rows
+    }
 }
 
-/// Everything a query must observe as one consistent unit: the embedding,
-/// the adjacency it was encoded from, the aggregation operator, and the
-/// inputs (features, weights, `α`) they were derived from. Batches take
-/// the read side; operator swaps, incremental repairs and snapshot hot
-/// reloads take the write side, so a batch never sees a half-patched
-/// state. Every matrix is held as an owned-or-mapped store, so the same
-/// engine serves decoded v1 snapshots and zero-copy v2 mappings through
-/// identical code paths.
+/// Everything a query must observe as one consistent unit: the served
+/// logits, the embedding and operator they were computed from, the
+/// adjacency the embedding was encoded from, and the inputs (features,
+/// weights, `α`) behind them. Queries take the read side; operator swaps,
+/// incremental repairs and snapshot hot reloads take the write side, so a
+/// query never sees a half-patched state. Every input matrix is held as an
+/// owned-or-mapped store, so the same engine serves decoded v1 snapshots
+/// and zero-copy v2 mappings through identical code paths.
 struct ServingState {
+    /// The served table `Z = (1−α)·Ẑ + α·H` (`n × C`, Eq. 6), with
+    /// `Ẑ = S·H` (`Ẑ = H` without an operator).
+    logits: DenseMatrix,
     /// Precomputed full-graph embedding `H` (`n × C`).
     embeddings: DenseStore,
     /// Adjacency the embedding was computed from, kept in sync by repairs;
@@ -418,30 +337,44 @@ struct ServingState {
     alpha: f32,
 }
 
-struct Shared {
+impl ServingState {
+    /// Assembles a state, materialising the logits table with one SpMM.
+    fn new(
+        embeddings: DenseStore,
+        adjacency: CsrStore,
+        operator: Option<OperatorState>,
+        features: DenseStore,
+        model: ModelRef,
+        alpha: f32,
+    ) -> Result<Self> {
+        let logits = compute_logits(
+            operator.as_ref().map(|op| op.matrix.view()),
+            embeddings.view(),
+            None,
+            alpha,
+        )?;
+        Ok(Self {
+            logits,
+            embeddings,
+            adjacency,
+            operator,
+            features,
+            model,
+            alpha,
+        })
+    }
+}
+
+/// Online node-classification server for a snapshotted SIGMA model.
+pub struct InferenceEngine {
     state: RwLock<ServingState>,
     /// Node and class counts (immutable over the engine's lifetime; hot
     /// reloads must match them).
     num_nodes: usize,
     num_classes: usize,
-    /// Bounded memo of aggregated rows.
-    cache: Mutex<LruCache>,
     /// Nodes whose operator rows may be stale w.r.t. applied edge updates.
     stale: Mutex<HashSet<usize>>,
-    /// Operator generation counter, bumped whenever the serving state is
-    /// mutated ([`InferenceEngine::install_operator`],
-    /// [`InferenceEngine::repair_from`]). Rows computed against generation
-    /// `g` may only enter the cache while the generation is still `g` —
-    /// otherwise a batch racing a swap could cache old-operator rows after
-    /// the swap's cache clear (or a repair's targeted eviction).
-    epoch: AtomicU64,
     stats: EngineMetrics,
-}
-
-/// Online node-classification server for a snapshotted SIGMA model.
-pub struct InferenceEngine {
-    shared: Arc<Shared>,
-    config: EngineConfig,
 }
 
 /// The operator payload of one repair round, fed to
@@ -459,7 +392,8 @@ pub enum OperatorPatch {
     /// `rows.len() × n` payload (in the same order).
     Rows(CsrMatrix),
     /// Install this whole `n × n` operator (full-refresh path: first sync
-    /// with a maintainer that had no prior state). Drops the entire cache.
+    /// with a maintainer that had no prior state). Recomputes the whole
+    /// table.
     Full(CsrMatrix),
     /// The operator is untouched this round — only the adjacency (and the
     /// `H` rows its diff implies) need repair. Also the only valid payload
@@ -476,9 +410,10 @@ pub struct EngineRepair {
     /// Embedding (`H`) rows re-encoded in place (sorted): the nodes whose
     /// adjacency rows differed from the engine's.
     pub embedding_rows: Vec<usize>,
-    /// Cached `Ẑ` rows invalidated (sorted): the patched operator rows plus
-    /// every row whose operator entries reference a re-encoded node. On a
-    /// full refresh the whole cache is dropped instead and this is empty.
+    /// Served `Z` rows recomputed (sorted): the patched operator rows,
+    /// every row whose operator entries reference a re-encoded node, and
+    /// the re-encoded nodes themselves (their `α·H_u` term). On a full
+    /// refresh this lists every row.
     pub invalidated_rows: Vec<usize>,
     /// Whether the engine fell back to a whole-operator install (first sync
     /// with a maintainer that had no prior state).
@@ -490,40 +425,32 @@ impl std::fmt::Debug for InferenceEngine {
         f.debug_struct("InferenceEngine")
             .field("num_nodes", &self.num_nodes())
             .field("num_classes", &self.num_classes())
-            .field("config", &self.config)
-            .field(
-                "workers",
-                &self.config.effective_workers(ThreadPool::global()),
-            )
             .finish()
     }
 }
 
 impl InferenceEngine {
-    /// Builds an engine from a decoded snapshot: validates the
-    /// configuration against the shared thread pool and runs the encoder
-    /// once over the full graph (or adopts the snapshot's precomputed
-    /// embeddings when present).
-    pub fn new(snapshot: &ServeSnapshot, config: EngineConfig) -> Result<Self> {
-        config.validate(ThreadPool::global())?;
+    /// Builds an engine from a decoded snapshot: runs the encoder once over
+    /// the full graph (or adopts the snapshot's precomputed embeddings when
+    /// present) and materialises the logits table.
+    pub fn new(snapshot: &ServeSnapshot, _config: EngineConfig) -> Result<Self> {
         snapshot.model.validate()?;
         let state = Self::owned_state(snapshot)?;
-        Ok(Self::from_state(state, config))
+        Ok(Self::from_state(state))
     }
 
     /// Builds an engine serving straight out of a mapped v2 snapshot —
-    /// zero copy, O(1) in the graph size when the snapshot carries
-    /// precomputed embeddings (otherwise the encoder runs once, as
-    /// [`InferenceEngine::new`] would).
+    /// zero copy for every input matrix; when the snapshot carries
+    /// precomputed embeddings the only build work is the logits SpMM
+    /// (otherwise the encoder runs once, as [`InferenceEngine::new`] would).
     ///
     /// Verifies the mapping first (checksums + CSR invariants; cached, so
     /// repeated engines off one mapping pay it once). The engine holds the
     /// [`Arc`], pinning the mapping for its lifetime; results are bitwise
     /// identical to an engine built from the decoded snapshot.
-    pub fn from_mapped(snapshot: Arc<MappedSnapshot>, config: EngineConfig) -> Result<Self> {
-        config.validate(ThreadPool::global())?;
+    pub fn from_mapped(snapshot: Arc<MappedSnapshot>, _config: EngineConfig) -> Result<Self> {
         let state = Self::mapped_state(snapshot)?;
-        Ok(Self::from_state(state, config))
+        Ok(Self::from_state(state))
     }
 
     /// Serving state for the owned (decoded) path.
@@ -544,18 +471,18 @@ impl InferenceEngine {
             }
             None => compute_embeddings(&snapshot.model, &snapshot.features, &snapshot.adjacency)?,
         };
-        Ok(ServingState {
-            embeddings: DenseStore::Owned(embeddings),
-            adjacency: CsrStore::Owned(snapshot.adjacency.clone()),
-            operator: snapshot
+        ServingState::new(
+            DenseStore::Owned(embeddings),
+            CsrStore::Owned(snapshot.adjacency.clone()),
+            snapshot
                 .model
                 .operator
                 .clone()
                 .map(|m| OperatorState::new(CsrStore::Owned(m))),
-            features: DenseStore::Owned(snapshot.features.clone()),
-            model: ModelRef::Owned(Arc::new(snapshot.model.clone())),
-            alpha: snapshot.model.effective_alpha() as f32,
-        })
+            DenseStore::Owned(snapshot.features.clone()),
+            ModelRef::Owned(Arc::new(snapshot.model.clone())),
+            snapshot.model.effective_alpha() as f32,
+        )
     }
 
     /// Serving state borrowing a verified mapping.
@@ -575,49 +502,43 @@ impl InferenceEngine {
             let adjacency = snap.adjacency_view().to_owned_matrix()?;
             DenseStore::Owned(compute_embeddings(&model, &features, &adjacency)?)
         };
-        Ok(ServingState {
+        ServingState::new(
             embeddings,
-            adjacency: CsrStore::Mapped {
+            CsrStore::Mapped {
                 snap: snap.clone(),
                 section: CsrSection::Adjacency,
             },
-            operator: snap.has_operator().then(|| {
+            snap.has_operator().then(|| {
                 OperatorState::new(CsrStore::Mapped {
                     snap: snap.clone(),
                     section: CsrSection::Operator,
                 })
             }),
-            features: DenseStore::Mapped {
+            DenseStore::Mapped {
                 snap: snap.clone(),
                 section: DenseSection::Features,
             },
-            alpha: snap.effective_alpha() as f32,
-            model: ModelRef::Mapped(snap),
-        })
+            ModelRef::Mapped(snap.clone()),
+            snap.effective_alpha() as f32,
+        )
     }
 
-    fn from_state(state: ServingState, config: EngineConfig) -> Self {
-        let num_nodes = state.embeddings.rows();
-        let num_classes = state.embeddings.view().cols();
-        let shared = Arc::new(Shared {
+    fn from_state(state: ServingState) -> Self {
+        Self {
+            num_nodes: state.logits.rows(),
+            num_classes: state.logits.cols(),
             state: RwLock::new(state),
-            num_nodes,
-            num_classes,
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
             stale: Mutex::new(HashSet::new()),
-            epoch: AtomicU64::new(0),
             stats: EngineMetrics::new(),
-        });
-        Self { shared, config }
+        }
     }
 
-    /// Atomically replaces the entire served state — embeddings,
+    /// Atomically replaces the entire served state — logits, embeddings,
     /// adjacency, operator, features, weights, `α` — with a new snapshot
-    /// of the *same* graph dimensions, under the operator-epoch guard: one
-    /// write-lock swap, an epoch bump so racing batches cannot cache
-    /// pre-reload rows, and a cache + staleness clear. Queries racing the
-    /// reload serve a consistent answer from one state or the other, never
-    /// a blend.
+    /// of the *same* graph dimensions: the new state (logits table
+    /// included) is built off-lock, swapped in under one write lock, and
+    /// the staleness set is cleared. Queries racing the reload serve a
+    /// consistent answer from one state or the other, never a blend.
     pub fn hot_reload(&self, snapshot: &ServeSnapshot) -> Result<()> {
         snapshot.model.validate()?;
         let state = Self::owned_state(snapshot)?;
@@ -633,71 +554,47 @@ impl InferenceEngine {
     }
 
     fn swap_state(&self, new_state: ServingState) -> Result<()> {
-        let n = new_state.embeddings.rows();
-        let classes = new_state.embeddings.view().cols();
-        if n != self.shared.num_nodes {
+        let (n, classes) = new_state.logits.shape();
+        if n != self.num_nodes {
             return Err(ServeError::OperatorMismatch {
                 got: (n, n),
-                expected: self.shared.num_nodes,
+                expected: self.num_nodes,
             });
         }
-        if classes != self.shared.num_classes {
+        if classes != self.num_classes {
             return Err(ServeError::Corrupt {
                 reason: format!(
                     "reloaded snapshot serves {} classes, engine was built for {}",
-                    classes, self.shared.num_classes
+                    classes, self.num_classes
                 ),
             });
         }
-        {
-            let mut state = self.write_state();
-            *state = new_state;
-            // Bump the generation while still holding the write lock, so an
-            // in-flight batch that computed rows against the old state
-            // observes a changed epoch and skips caching them.
-            self.shared.epoch.fetch_add(1, Ordering::SeqCst);
-            self.shared
-                .cache
-                .lock()
-                .expect("cache lock poisoned")
-                .clear();
-        }
-        self.shared
-            .stale
-            .lock()
-            .expect("stale lock poisoned")
-            .clear();
-        self.shared.stats.snapshot_reloads.inc();
+        *self.write_state() = new_state;
+        self.stale.lock().expect("stale lock poisoned").clear();
+        self.stats.snapshot_reloads.inc();
         Ok(())
     }
 
     /// Number of nodes the engine serves.
     pub fn num_nodes(&self) -> usize {
-        self.shared.num_nodes
+        self.num_nodes
     }
 
     /// Number of classes per prediction.
     pub fn num_classes(&self) -> usize {
-        self.shared.num_classes
+        self.num_classes
     }
 
     /// The effective `α` blended at serve time.
     pub fn alpha(&self) -> f32 {
-        self.shared
-            .state
-            .read()
-            .expect("serving state poisoned")
-            .alpha
+        self.read_state().alpha
     }
 
     /// A copy of the aggregation operator currently served (`None` when the
     /// engine runs the operator-less `Ẑ = H` variant). Observability hook
     /// used by the differential test harness.
     pub fn operator(&self) -> Option<CsrMatrix> {
-        self.shared
-            .state
-            .read()
-            .expect("serving state poisoned")
+        self.read_state()
             .operator
             .as_ref()
             .map(|state| state.matrix.to_matrix())
@@ -706,87 +603,22 @@ impl InferenceEngine {
     /// Serves a single node.
     pub fn predict(&self, node: usize) -> Result<Prediction> {
         let sw = Stopwatch::start();
-        let mut batch = serve_batch(&self.shared, &[node])?;
+        let mut batch = self.serve(&[node])?;
         if sigma_obs::ENABLED {
-            self.shared.stats.predict_ns.record(sw.elapsed_ns());
+            self.stats.predict_ns.record(sw.elapsed_ns());
         }
         Ok(batch.pop().expect("one prediction per queried node"))
     }
 
-    /// Serves a batch of nodes, preserving query order.
-    ///
-    /// Batches larger than [`EngineConfig::max_chunk`] are split into chunks
-    /// and fanned out as scoped tasks on the shared
-    /// [`sigma_parallel::ThreadPool`], at most
-    /// [`EngineConfig::effective_workers`] chunks in flight; smaller batches
-    /// are served on the caller's thread. Chunks are grouped into tasks by
-    /// **operator mass** (each queried node costs its operator row's nnz)
-    /// through [`sigma_parallel::partition_by_weight`], so a batch that
-    /// happens to concentrate hub rows in one region does not serialise one
-    /// worker. Predictions are assembled in chunk order, so the grouping
-    /// never affects results.
+    /// Serves a batch of nodes, preserving query order. The whole batch
+    /// reads one consistent state.
     pub fn predict_batch(&self, nodes: &[usize]) -> Result<Vec<Prediction>> {
         let sw = Stopwatch::start();
-        let result = self.predict_batch_inner(nodes);
+        let result = self.serve(nodes);
         if sigma_obs::ENABLED {
-            self.shared.stats.predict_batch_ns.record(sw.elapsed_ns());
+            self.stats.predict_batch_ns.record(sw.elapsed_ns());
         }
         result
-    }
-
-    /// [`InferenceEngine::predict_batch`] minus the latency bookkeeping.
-    fn predict_batch_inner(&self, nodes: &[usize]) -> Result<Vec<Prediction>> {
-        let pool = ThreadPool::global();
-        let concurrency = self.config.effective_workers(pool);
-        if nodes.len() <= self.config.max_chunk || concurrency <= 1 {
-            return serve_batch(&self.shared, nodes);
-        }
-        let chunks: Vec<&[usize]> = nodes.chunks(self.config.max_chunk).collect();
-        // Per-chunk cost estimate: the aggregation SpMM dominates, and its
-        // work is the sum of the queried rows' operator nnz (plus one unit
-        // per node for the cache probe / blend). Out-of-range nodes weigh
-        // one unit here and are rejected by `serve_batch` as before.
-        let chunk_weights: Vec<usize> = {
-            let state = self.shared.state.read().expect("serving state poisoned");
-            let op_view = state.operator.as_ref().map(|op| op.matrix.view());
-            chunks
-                .iter()
-                .map(|chunk| {
-                    chunk
-                        .iter()
-                        .map(|&node| match op_view {
-                            Some(op) if node < op.rows() => 1 + op.row_nnz(node),
-                            _ => 1,
-                        })
-                        .sum()
-                })
-                .collect()
-        };
-        let groups =
-            sigma_parallel::partition_by_weight(&chunk_weights, concurrency.min(chunks.len()));
-        let mut results: Vec<Option<Result<Vec<Prediction>>>> =
-            (0..chunks.len()).map(|_| None).collect();
-        {
-            let shared = &self.shared;
-            let mut rest: &mut [Option<Result<Vec<Prediction>>>] = &mut results;
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(groups.len());
-            for group in groups {
-                let (slot_group, tail) = rest.split_at_mut(group.len());
-                rest = tail;
-                let chunk_group = &chunks[group];
-                tasks.push(Box::new(move || {
-                    for (chunk, slot) in chunk_group.iter().zip(slot_group.iter_mut()) {
-                        *slot = Some(serve_batch(shared, chunk));
-                    }
-                }));
-            }
-            pool.run(tasks);
-        }
-        let mut out = Vec::with_capacity(nodes.len());
-        for slot in results {
-            out.extend(slot.expect("every chunk task ran to completion")?);
-        }
-        Ok(out)
     }
 
     /// Top-`k` nodes most similar to `node`, ranked by the node's
@@ -802,19 +634,14 @@ impl InferenceEngine {
     /// itself. Fewer than `k` entries come back when the row holds fewer
     /// qualifying entries.
     ///
-    /// Unlike [`InferenceEngine::predict`], this reads the operator row
-    /// directly and never touches the `Ẑ` row cache — similarity traffic
-    /// has a very different cache profile than logit serving (the serving
-    /// bench records the difference).
-    ///
     /// Errors with [`ServeError::InvalidQuery`] for an out-of-range node
     /// and [`ServeError::NoOperator`] on an engine serving the
     /// operator-less `Ẑ = H` variant.
     pub fn most_similar(&self, node: usize, k: usize) -> Result<Vec<SimilarNode>> {
         let sw = Stopwatch::start();
-        let mut batch = similar_batch(&self.shared, &[(node, k)])?;
+        let mut batch = self.similar(&[(node, k)])?;
         if sigma_obs::ENABLED {
-            self.shared.stats.similar_ns.record(sw.elapsed_ns());
+            self.stats.similar_ns.record(sw.elapsed_ns());
         }
         Ok(batch.pop().expect("one answer per similarity query"))
     }
@@ -824,22 +651,21 @@ impl InferenceEngine {
     /// contract as [`InferenceEngine::most_similar`].
     pub fn most_similar_batch(&self, queries: &[(usize, usize)]) -> Result<Vec<Vec<SimilarNode>>> {
         let sw = Stopwatch::start();
-        let result = similar_batch(&self.shared, queries);
+        let result = self.similar(queries);
         if sigma_obs::ENABLED {
-            self.shared.stats.similar_ns.record(sw.elapsed_ns());
+            self.stats.similar_ns.record(sw.elapsed_ns());
         }
         result
     }
 
     /// Applies a stream of edge updates to the staleness tracker.
     ///
-    /// Marks the first-order affected region (endpoints plus their
-    /// neighbours at snapshot time) stale, and evicts every cached row whose
-    /// operator entries reference an affected node. Returns the number of
-    /// cached rows invalidated.
+    /// Marks stale the first-order affected region (endpoints plus their
+    /// neighbours at snapshot time) and every row whose operator entries
+    /// reference it. Returns the number of rows marked stale.
     pub fn apply_edge_updates(&self, updates: &[EdgeUpdate]) -> Result<usize> {
         let affected = self.edge_update_footprint(updates)?;
-        Ok(self.invalidate_nodes(&affected))
+        Ok(self.invalidate_nodes(&affected).len())
     }
 
     /// The first-order region a stream of edge updates touches, read off
@@ -853,7 +679,7 @@ impl InferenceEngine {
         let n = self.num_nodes();
         let mut affected: HashSet<usize> = HashSet::new();
         {
-            let state = self.shared.state.read().expect("serving state poisoned");
+            let state = self.read_state();
             let adjacency = state.adjacency.view();
             for &update in updates {
                 let (u, v) = match update {
@@ -873,42 +699,28 @@ impl InferenceEngine {
                 }
             }
         }
-        let mut sorted: Vec<usize> = affected.into_iter().collect();
-        sorted.sort_unstable();
-        Ok(sorted)
+        Ok(sorted(affected))
     }
 
     /// Rows of the served operator whose entries reference any of `nodes`
     /// (sorted, deduplicated; empty for an operator-less engine). These are
-    /// exactly the cached `Ẑ` rows an update to those nodes can change, so
-    /// a router may skip a shard whose range misses the affected set *only*
-    /// if this is also empty for that shard.
+    /// exactly the `Z` rows an update to those nodes can change through
+    /// `S·H`, so a router may skip a shard whose range misses the affected
+    /// set *only* if this is also empty for that shard.
     pub fn referencing_rows(&self, nodes: &[usize]) -> Vec<usize> {
-        let mut rows: HashSet<usize> = HashSet::new();
-        {
-            let state = self.shared.state.read().expect("serving state poisoned");
-            if let Some(operator) = state.operator.as_ref() {
-                let reverse = operator.reverse();
-                for &node in nodes {
-                    if node < reverse.rows() {
-                        for (row, _) in reverse.row_iter(node) {
-                            rows.insert(row);
-                        }
-                    }
-                }
-            }
+        let state = self.read_state();
+        match state.operator.as_ref() {
+            Some(operator) => sorted(operator.referencing(nodes.iter().copied())),
+            None => Vec::new(),
         }
-        let mut sorted: Vec<usize> = rows.into_iter().collect();
-        sorted.sort_unstable();
-        sorted
     }
 
-    /// Marks `affected` nodes stale and evicts every cached row whose
-    /// operator entries reference them; returns the number of cached rows
-    /// evicted. This is [`InferenceEngine::apply_edge_updates`] with the
-    /// footprint already computed — the router entry point for fanning a
-    /// pre-computed affected set to intersecting shards.
-    pub fn invalidate_nodes(&self, affected: &[usize]) -> usize {
+    /// Marks stale the `affected` nodes and every row whose operator
+    /// entries reference them; returns those rows (sorted). This is
+    /// [`InferenceEngine::apply_edge_updates`] with the footprint already
+    /// computed — the router entry point for fanning a pre-computed
+    /// affected set to intersecting shards.
+    pub fn invalidate_nodes(&self, affected: &[usize]) -> Vec<usize> {
         let set: HashSet<usize> = affected.iter().copied().collect();
         self.invalidate_region(&set)
     }
@@ -916,11 +728,12 @@ impl InferenceEngine {
     /// Synchronises with a [`DynamicSimRank`] maintainer.
     ///
     /// If the maintainer's staleness budget is exhausted, its refreshed
-    /// operator is swapped in (clearing the cache and staleness set) and
-    /// `true` is returned. Otherwise the maintainer's affected-node set is
-    /// marked stale here, bounding how wrong served rows can be, and `false`
-    /// is returned. See [`InferenceEngine::repair_from`] for the incremental
-    /// alternative that stays exact without dropping the cache.
+    /// operator is swapped in (recomputing the table and clearing the
+    /// staleness set) and `true` is returned. Otherwise the maintainer's
+    /// affected-node set is marked stale here, bounding how wrong served
+    /// rows can be, and `false` is returned. See
+    /// [`InferenceEngine::repair_from`] for the incremental alternative
+    /// that stays exact.
     pub fn sync_with(&self, maintainer: &mut DynamicSimRank) -> Result<bool> {
         if maintainer.needs_refresh() {
             let operator = maintainer.operator()?;
@@ -936,22 +749,20 @@ impl InferenceEngine {
     /// Incrementally repairs the served state from a [`DynamicSimRank`]
     /// maintainer after graph edits, instead of swapping the whole operator.
     ///
-    /// Drives [`DynamicSimRank::repair`] and then patches, in place and
-    /// under one write lock:
+    /// Drives [`DynamicSimRank::repair`] and then patches:
     ///
     /// * the operator rows the maintainer reports as changed (spliced with
     ///   `CsrMatrix::replace_rows`),
     /// * the `H` rows of every node whose adjacency row differs from the
     ///   engine's copy (the encoder is row-local, so the re-encoded rows are
     ///   bitwise identical to a full re-encode),
+    /// * the `Z` rows those two changes reach (see
+    ///   [`EngineRepair::invalidated_rows`]),
     /// * the engine's adjacency itself.
     ///
-    /// Afterwards only the affected cache entries — patched operator rows
-    /// plus rows referencing a re-encoded node — are evicted; every other
-    /// cached row is provably still exact, so a warm cache survives the
-    /// edit. The staleness set is cleared: the engine is fully consistent
-    /// with the maintainer's graph, bitwise identical to an engine rebuilt
-    /// from scratch on it.
+    /// The staleness set is cleared: the engine is fully consistent with
+    /// the maintainer's graph, bitwise identical to an engine rebuilt from
+    /// scratch on it.
     ///
     /// The engine's operator must have come from the same maintainer (or an
     /// equal one): row patches are relative to the served operator. The
@@ -967,14 +778,8 @@ impl InferenceEngine {
             });
         }
         let outcome = maintainer.repair()?;
-        let has_operator = self
-            .shared
-            .state
-            .read()
-            .expect("serving state poisoned")
-            .operator
-            .is_some();
-        // Resolve the operator payload before taking the write lock (the
+        let has_operator = self.read_state().operator.is_some();
+        // Resolve the operator payload before touching the state (the
         // maintainer materialises rows lazily).
         let (operator_rows, patch, dirty_seeds) = match (&outcome, has_operator) {
             (RepairOutcome::Patched(repair), true) => {
@@ -1008,16 +813,16 @@ impl InferenceEngine {
     /// post-edit adjacency to adopt (the `H` rows to re-encode are found by
     /// diffing it against the engine's own copy, so a lagging engine
     /// self-heals); `dirty_seeds` is forwarded to the
-    /// `repair_dirty_seeds` counter. Everything [`repair_from`] documents —
-    /// in-place patching under one write lock, targeted eviction, epoch
-    /// bump, staleness clear — happens here.
+    /// `repair_dirty_seeds` counter.
+    ///
+    /// Every new matrix and `Z` row is computed under the state *read*
+    /// lock, so queries keep flowing while the repair works; the write
+    /// section only swaps the results in.
     ///
     /// This is the fan-out surface for a [`crate::ShardRouter`]: the router
     /// drives one maintainer, then calls this on each shard whose row range
     /// intersects the repair footprint, with the payload filtered to that
     /// shard's rows.
-    ///
-    /// [`repair_from`]: InferenceEngine::repair_from
     pub fn apply_repair(
         &self,
         operator_rows: &[usize],
@@ -1032,133 +837,119 @@ impl InferenceEngine {
                 expected: n,
             });
         }
-        let (operator_patch, full_operator) = match patch {
-            OperatorPatch::Rows(payload) => {
-                if payload.shape() != (operator_rows.len(), n) {
-                    return Err(ServeError::OperatorMismatch {
-                        got: payload.shape(),
-                        expected: n,
-                    });
-                }
-                (Some(payload), None)
+        match &patch {
+            OperatorPatch::Rows(payload) if payload.shape() != (operator_rows.len(), n) => {
+                return Err(ServeError::OperatorMismatch {
+                    got: payload.shape(),
+                    expected: n,
+                });
             }
-            OperatorPatch::Full(operator) => {
-                if operator.shape() != (n, n) {
-                    return Err(ServeError::OperatorMismatch {
-                        got: operator.shape(),
-                        expected: n,
-                    });
-                }
-                (None, Some(operator))
+            OperatorPatch::Full(operator) if operator.shape() != (n, n) => {
+                return Err(ServeError::OperatorMismatch {
+                    got: operator.shape(),
+                    expected: n,
+                });
             }
-            OperatorPatch::None => (None, None),
-        };
-        let operator_rows = operator_rows.to_vec();
+            _ => {}
+        }
+        let full_refresh = matches!(patch, OperatorPatch::Full(_));
 
-        // Re-encode exactly the nodes whose adjacency rows differ. The diff
-        // is against the engine's own copy, so it also catches edits the
-        // maintainer absorbed before this engine ever synced. Both the diff
-        // and the re-encode run under the *read* lock, never the write
-        // lock: the encoder dispatches onto the shared pool, and the pool's
-        // help-first join may hand this thread a queued serve-batch task
-        // that needs the state read lock — dispatching while holding the
-        // write lock would self-deadlock. (Maintenance calls are externally
-        // serialised, and queries never mutate the state, so the diff
-        // cannot go stale between here and the write section below.)
-        let (embedding_rows, patched_h) = {
-            let state = self.shared.state.read().expect("serving state poisoned");
-            let rows = changed_adjacency_rows(state.adjacency.view(), &adjacency_new);
-            let patched = if rows.is_empty() {
+        // Maintenance calls are externally serialised and queries never
+        // mutate the state, so nothing computed here can go stale before
+        // the write section below.
+        let (embedding_rows, embeddings, operator, invalidated_rows, logits) = {
+            let state = self.read_state();
+            // Re-encode exactly the nodes whose adjacency rows differ. The
+            // diff is against the engine's own copy, so it also catches
+            // edits the maintainer absorbed before this engine ever synced.
+            let embedding_rows = changed_adjacency_rows(state.adjacency.view(), &adjacency_new);
+            let embeddings = if embedding_rows.is_empty() {
                 None
             } else {
                 // Mapped engines decode the model here, on first repair —
                 // the one maintenance path that needs the weights.
                 let model = state.model.get()?;
-                Some(compute_embeddings_rows(
+                let patched = compute_embeddings_rows(
                     &model,
                     state.features.view(),
                     &adjacency_new,
-                    &rows,
-                )?)
+                    &embedding_rows,
+                )?;
+                let mut h = state.embeddings.view().to_owned_matrix();
+                for (i, &row) in embedding_rows.iter().enumerate() {
+                    h.row_mut(row).copy_from_slice(patched.row(i));
+                }
+                Some(h)
             };
-            (rows, patched)
+            let operator = match patch {
+                OperatorPatch::Rows(payload) => {
+                    let current = state
+                        .operator
+                        .as_ref()
+                        .expect("patch path implies an operator");
+                    let patched = match &current.matrix {
+                        CsrStore::Owned(m) => m.replace_rows(operator_rows, &payload)?,
+                        mapped => mapped.to_matrix().replace_rows(operator_rows, &payload)?,
+                    };
+                    Some(OperatorState::new(CsrStore::Owned(patched)))
+                }
+                OperatorPatch::Full(operator) => {
+                    Some(OperatorState::new(CsrStore::Owned(operator)))
+                }
+                OperatorPatch::None => None,
+            };
+            // The post-repair inputs of Eq. 6.
+            let h = embeddings
+                .as_ref()
+                .map_or_else(|| state.embeddings.view(), |h| h.view());
+            let s = operator.as_ref().or(state.operator.as_ref());
+            let invalidated_rows: Vec<usize> = if full_refresh {
+                (0..n).collect()
+            } else {
+                // `Z_u` reads operator row `u`, the `H` rows that row
+                // references, and `H_u` itself.
+                let mut rows: HashSet<usize> = operator_rows.iter().copied().collect();
+                rows.extend(embedding_rows.iter().copied());
+                if let (Some(s), false) = (s, embedding_rows.is_empty()) {
+                    rows.extend(s.referencing(embedding_rows.iter().copied()));
+                }
+                sorted(rows)
+            };
+            let logits = compute_logits(
+                s.map(|s| s.matrix.view()),
+                h,
+                (!full_refresh).then_some(invalidated_rows.as_slice()),
+                state.alpha,
+            )?;
+            (
+                embedding_rows,
+                embeddings,
+                operator,
+                invalidated_rows,
+                logits,
+            )
         };
 
-        let full_refresh = full_operator.is_some();
-        let mut evicted = 0usize;
-        let invalidated_rows: Vec<usize>;
         {
             let mut state = self.write_state();
-            if let Some(patched_h) = &patched_h {
-                // Copy-on-write: a mapped embedding section is promoted to
-                // an owned matrix before the first in-place patch.
-                let embeddings = state.embeddings.make_owned();
-                for (i, &row) in embedding_rows.iter().enumerate() {
-                    embeddings.row_mut(row).copy_from_slice(patched_h.row(i));
+            if full_refresh {
+                state.logits = logits;
+            } else {
+                for (i, &row) in invalidated_rows.iter().enumerate() {
+                    state.logits.row_mut(row).copy_from_slice(logits.row(i));
                 }
+            }
+            if let Some(h) = embeddings {
+                state.embeddings = DenseStore::Owned(h);
+            }
+            if let Some(operator) = operator {
+                state.operator = Some(operator);
             }
             state.adjacency = CsrStore::Owned(adjacency_new);
-            if let Some(operator) = full_operator {
-                state.operator = Some(OperatorState::new(CsrStore::Owned(operator)));
-            } else if let Some(patch) = operator_patch {
-                let operator = state
-                    .operator
-                    .as_mut()
-                    .expect("patch path implies an operator");
-                let matrix = operator.matrix.make_owned()?;
-                let patched = matrix.replace_rows(&operator_rows, &patch)?;
-                *matrix = patched;
-                // The cached transpose is stale now; rebuild lazily.
-                operator.reverse = OnceLock::new();
-            }
-            // Bump the generation while still holding the write lock, so an
-            // in-flight batch that computed rows against the pre-repair
-            // state observes a changed epoch and skips caching them.
-            self.shared.epoch.fetch_add(1, Ordering::SeqCst);
-
-            // Invalidation set: rows whose own operator row was patched,
-            // plus rows whose `Ẑ` reads a re-encoded `H` row.
-            let mut invalid: HashSet<usize> = operator_rows.iter().copied().collect();
-            match state.operator.as_ref() {
-                Some(operator) => {
-                    if !embedding_rows.is_empty() {
-                        let reverse = operator.reverse();
-                        for &node in &embedding_rows {
-                            for (row, _) in reverse.row_iter(node) {
-                                invalid.insert(row);
-                            }
-                        }
-                    }
-                }
-                // Without an operator a cached row is `H` itself.
-                None => invalid.extend(embedding_rows.iter().copied()),
-            }
-            let mut sorted: Vec<usize> = invalid.into_iter().collect();
-            sorted.sort_unstable();
-            invalidated_rows = sorted;
-
-            // Evict while still holding the write lock (queries acquire the
-            // cache lock only inside or after their state read section, so
-            // the state → cache order is deadlock-free): once the patched
-            // state is visible, no stale `Ẑ` row can be served against it.
-            let mut cache = self.shared.cache.lock().expect("cache lock poisoned");
-            if full_refresh {
-                cache.clear();
-            } else {
-                for &row in &invalidated_rows {
-                    if cache.invalidate(row) {
-                        evicted += 1;
-                    }
-                }
-            }
         }
-        self.shared
-            .stale
-            .lock()
-            .expect("stale lock poisoned")
-            .clear();
-        let stats = &self.shared.stats;
-        stats.rows_invalidated.add(evicted as u64);
+        self.stale.lock().expect("stale lock poisoned").clear();
+        let stats = &self.stats;
+        stats.rows_invalidated.add(invalidated_rows.len() as u64);
         stats
             .embedding_rows_repaired
             .add(embedding_rows.len() as u64);
@@ -1170,19 +961,16 @@ impl InferenceEngine {
             stats.rows_repaired.add(operator_rows.len() as u64);
         }
         Ok(EngineRepair {
-            operator_rows,
+            operator_rows: operator_rows.to_vec(),
             embedding_rows,
-            invalidated_rows: if full_refresh {
-                Vec::new()
-            } else {
-                invalidated_rows
-            },
+            invalidated_rows,
             full_refresh,
         })
     }
 
     /// Replaces the aggregation operator (e.g. after a SimRank refresh on an
-    /// updated graph), clearing the row cache and the staleness set.
+    /// updated graph), recomputing the logits table and clearing the
+    /// staleness set.
     pub fn install_operator(&self, operator: CsrMatrix) -> Result<()> {
         let n = self.num_nodes();
         if operator.shape() != (n, n) {
@@ -1191,49 +979,28 @@ impl InferenceEngine {
                 expected: n,
             });
         }
-        let new_state = OperatorState::new(CsrStore::Owned(operator));
-        // Materialise the transpose outside the lock (as the eager path
-        // always did for installs) so the write section stays short.
-        new_state.reverse();
+        let logits = {
+            let state = self.read_state();
+            compute_logits(
+                Some(CsrViewAny::Native(operator.view())),
+                state.embeddings.view(),
+                None,
+                state.alpha,
+            )?
+        };
         {
             let mut state = self.write_state();
-            state.operator = Some(new_state);
-            // Bump the generation while still holding the write lock, so any
-            // in-flight batch that read the old operator observes a changed
-            // epoch and skips caching its rows.
-            self.shared.epoch.fetch_add(1, Ordering::SeqCst);
+            state.operator = Some(OperatorState::new(CsrStore::Owned(operator)));
+            state.logits = logits;
         }
-        self.shared
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .clear();
-        self.shared
-            .stale
-            .lock()
-            .expect("stale lock poisoned")
-            .clear();
-        self.shared.stats.operator_refreshes.inc();
+        self.stale.lock().expect("stale lock poisoned").clear();
+        self.stats.operator_refreshes.inc();
         Ok(())
     }
 
     /// Nodes currently marked stale, sorted by id.
     pub fn stale_nodes(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .shared
-            .stale
-            .lock()
-            .expect("stale lock poisoned")
-            .iter()
-            .copied()
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Number of aggregated rows currently cached.
-    pub fn cached_rows(&self) -> usize {
-        self.shared.cache.lock().expect("cache lock poisoned").len()
+        sorted(self.stale.lock().expect("stale lock poisoned").clone())
     }
 
     /// A point-in-time copy of the serving counters.
@@ -1242,65 +1009,153 @@ impl InferenceEngine {
     /// is individually monotone and exact, but fields may tear against each
     /// other while queries are in flight.
     pub fn stats(&self) -> EngineStats {
-        self.shared.stats.snapshot()
+        self.stats.snapshot()
     }
 
-    /// Acquires the serving-state write lock without ever *queueing* behind
-    /// active readers.
-    ///
-    /// A serve batch holds the read lock while dispatching onto the shared
-    /// pool, and the pool's help-first join can hand that thread another
-    /// batch task which re-acquires the read lock. Recursive reads are only
-    /// safe while no writer is waiting (std's `RwLock` may be
-    /// writer-preferring), so maintenance writers spin on `try_write`
-    /// instead of blocking — batches are short and maintenance is rare.
+    fn read_state(&self) -> std::sync::RwLockReadGuard<'_, ServingState> {
+        self.state.read().expect("serving state poisoned")
+    }
+
     fn write_state(&self) -> std::sync::RwLockWriteGuard<'_, ServingState> {
-        loop {
-            match self.shared.state.try_write() {
-                Ok(guard) => return guard,
-                Err(std::sync::TryLockError::WouldBlock) => std::thread::yield_now(),
-                Err(std::sync::TryLockError::Poisoned(_)) => panic!("serving state poisoned"),
-            }
-        }
+        self.state.write().expect("serving state poisoned")
     }
 
-    /// Marks `affected` nodes stale and evicts every cached row referencing
-    /// them; returns the number of evicted rows.
-    fn invalidate_region(&self, affected: &HashSet<usize>) -> usize {
+    /// Marks `affected` nodes and every row referencing them stale; returns
+    /// those rows (sorted).
+    fn invalidate_region(&self, affected: &HashSet<usize>) -> Vec<usize> {
         if affected.is_empty() {
-            return 0;
+            return Vec::new();
         }
-        // Rows whose operator entries touch an affected column.
-        let mut rows: HashSet<usize> = affected.iter().copied().collect();
-        {
-            let state = self.shared.state.read().expect("serving state poisoned");
-            if let Some(operator) = state.operator.as_ref() {
-                let reverse = operator.reverse();
-                for &a in affected {
-                    if a < reverse.rows() {
-                        for (row, _) in reverse.row_iter(a) {
-                            rows.insert(row);
-                        }
-                    }
-                }
-            }
+        let mut rows = affected.clone();
+        if let Some(operator) = self.read_state().operator.as_ref() {
+            rows.extend(operator.referencing(affected.iter().copied()));
         }
-        let mut invalidated = 0usize;
-        {
-            let mut cache = self.shared.cache.lock().expect("cache lock poisoned");
-            for &row in &rows {
-                if cache.invalidate(row) {
-                    invalidated += 1;
-                }
-            }
-        }
-        {
-            let mut stale = self.shared.stale.lock().expect("stale lock poisoned");
-            stale.extend(rows.iter().copied());
-        }
-        self.shared.stats.rows_invalidated.add(invalidated as u64);
-        invalidated
+        let rows = sorted(rows);
+        self.stale
+            .lock()
+            .expect("stale lock poisoned")
+            .extend(rows.iter().copied());
+        self.stats.rows_invalidated.add(rows.len() as u64);
+        rows
     }
+
+    /// Serves one batch: a read of the logits table under one read of the
+    /// serving state, argmax labels, staleness tagging.
+    fn serve(&self, nodes: &[usize]) -> Result<Vec<Prediction>> {
+        let n = self.num_nodes;
+        for &node in nodes {
+            if node >= n {
+                return Err(ServeError::InvalidQuery { node, num_nodes: n });
+            }
+        }
+        let _span = sigma_obs::span!("serve_batch", nodes.len());
+        let rows: Vec<Vec<f32>> = {
+            let state = self.read_state();
+            nodes
+                .iter()
+                .map(|&node| state.logits.row(node).to_vec())
+                .collect()
+        };
+        let stale = self.stale.lock().expect("stale lock poisoned");
+        let out = nodes
+            .iter()
+            .zip(rows)
+            .map(|(&node, logits)| Prediction {
+                node,
+                label: argmax(&logits),
+                logits,
+                stale: stale.contains(&node),
+            })
+            .collect();
+        drop(stale);
+        self.stats.nodes_served.add(nodes.len() as u64);
+        self.stats.batches_served.inc();
+        Ok(out)
+    }
+
+    /// Serves a batch of `(node, k)` similarity queries straight off the
+    /// operator rows, under one read of the serving state. Validates every
+    /// node before touching any row so a batch either answers fully or
+    /// fails without partial work, like `serve`.
+    fn similar(&self, queries: &[(usize, usize)]) -> Result<Vec<Vec<SimilarNode>>> {
+        let n = self.num_nodes;
+        for &(node, _) in queries {
+            if node >= n {
+                return Err(ServeError::InvalidQuery { node, num_nodes: n });
+            }
+        }
+        let _span = sigma_obs::span!("similar_batch", queries.len());
+        let state = self.read_state();
+        let operator = state.operator.as_ref().ok_or(ServeError::NoOperator)?;
+        let view = operator.matrix.view();
+        let mut out = Vec::with_capacity(queries.len());
+        for &(node, k) in queries {
+            let mut row: Vec<SimilarNode> = view
+                .row_cols(node)
+                .iter()
+                .zip(view.row_vals(node).iter())
+                .filter(|&(&m, _)| m as usize != node)
+                .map(|(&m, &score)| SimilarNode {
+                    node: m as usize,
+                    score,
+                })
+                .collect();
+            // The pinned ordering: score descending, then node id ascending.
+            // `total_cmp` keeps the sort deterministic even for NaN scores, and
+            // the id tie-break is explicit rather than relying on CSR column
+            // order surviving an unstable sort.
+            row.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.node.cmp(&b.node)));
+            row.truncate(k);
+            out.push(row);
+        }
+        self.stats.similar_queries.add(queries.len() as u64);
+        Ok(out)
+    }
+}
+
+/// Eq. 6 for `rows` (every row when `None`): `Z_r = (1−α)·Ẑ_r + α·H_r`
+/// with `Ẑ = S·H`, or `Ẑ = H` without an operator. The full table costs one
+/// SpMM and a row subset one row-sliced SpMM; both run the same per-row
+/// kernel, so a recomputed row is bitwise the row a rebuild computes.
+fn compute_logits(
+    operator: Option<CsrViewAny<'_>>,
+    h: DenseView<'_>,
+    rows: Option<&[usize]>,
+    alpha: f32,
+) -> Result<DenseMatrix> {
+    let mut z = match (operator, rows) {
+        (Some(s), Some(rows)) => s.spmm_rows(rows, h)?,
+        (Some(s), None) => s.spmm(h)?,
+        (None, Some(rows)) => h.select_rows(rows)?,
+        (None, None) => h.to_owned_matrix(),
+    };
+    for i in 0..z.rows() {
+        let h_row = h.row(rows.map_or(i, |rows| rows[i]));
+        for (z, &h) in z.row_mut(i).iter_mut().zip(h_row) {
+            *z = (1.0 - alpha) * *z + alpha * h;
+        }
+    }
+    Ok(z)
+}
+
+/// Index of the first maximum (the served label).
+fn argmax(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
+            if v > bv {
+                (i, v)
+            } else {
+                (bi, bv)
+            }
+        })
+        .0
+}
+
+fn sorted(set: HashSet<usize>) -> Vec<usize> {
+    let mut out: Vec<usize> = set.into_iter().collect();
+    out.sort_unstable();
+    out
 }
 
 /// Rows on which two equal-shape CSR matrices differ (indices or values).
@@ -1312,158 +1167,4 @@ fn changed_adjacency_rows(old: CsrViewAny<'_>, new: &CsrMatrix) -> Vec<usize> {
             old.row_cols(r) != &new.indices()[ns..ne] || old.row_vals(r) != &new.values()[ns..ne]
         })
         .collect()
-}
-
-/// Serves a batch of `(node, k)` similarity queries straight off the
-/// operator rows, under one read of the serving state. Validates every
-/// node before touching any row so a batch either answers fully or fails
-/// without partial work, like `serve_batch`.
-fn similar_batch(shared: &Shared, queries: &[(usize, usize)]) -> Result<Vec<Vec<SimilarNode>>> {
-    let n = shared.num_nodes;
-    for &(node, _) in queries {
-        if node >= n {
-            return Err(ServeError::InvalidQuery { node, num_nodes: n });
-        }
-    }
-    let _span = sigma_obs::span!("similar_batch", queries.len());
-    let state = shared.state.read().expect("serving state poisoned");
-    let operator = state.operator.as_ref().ok_or(ServeError::NoOperator)?;
-    let view = operator.matrix.view();
-    let mut out = Vec::with_capacity(queries.len());
-    for &(node, k) in queries {
-        let mut row: Vec<SimilarNode> = view
-            .row_cols(node)
-            .iter()
-            .zip(view.row_vals(node).iter())
-            .filter(|&(&m, _)| m as usize != node)
-            .map(|(&m, &score)| SimilarNode {
-                node: m as usize,
-                score,
-            })
-            .collect();
-        // The pinned ordering: score descending, then node id ascending.
-        // `total_cmp` keeps the sort deterministic even for NaN scores, and
-        // the id tie-break is explicit rather than relying on CSR column
-        // order surviving an unstable sort.
-        row.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.node.cmp(&b.node)));
-        row.truncate(k);
-        out.push(row);
-    }
-    shared.stats.similar_queries.add(queries.len() as u64);
-    Ok(out)
-}
-
-/// Serves one batch: cache lookups, one row-sliced SpMM for the misses,
-/// Eq. 6 blending, staleness tagging.
-fn serve_batch(shared: &Shared, nodes: &[usize]) -> Result<Vec<Prediction>> {
-    let n = shared.num_nodes;
-    let classes = shared.num_classes;
-    for &node in nodes {
-        if node >= n {
-            return Err(ServeError::InvalidQuery { node, num_nodes: n });
-        }
-    }
-    let _span = sigma_obs::span!("serve_batch", nodes.len());
-
-    // Plan and compute under ONE read of the serving state: the cache
-    // probe, the row-sliced SpMM for every miss, and the `H` rows blended
-    // below. Probing inside the guard matters — a repair patches `H` and
-    // evicts stale `Ẑ` rows under the write lock, so a hit observed here is
-    // always consistent with the `H` rows read here (the state → cache lock
-    // order matches the repair path).
-    let mut z_hat: Vec<Option<Vec<f32>>> = vec![None; nodes.len()];
-    let mut cached = vec![false; nodes.len()];
-    let mut misses: Vec<usize> = Vec::new();
-    let mut miss_slots: Vec<usize> = Vec::new();
-    let (computed, h_rows, computed_epoch, alpha): (DenseMatrix, DenseMatrix, u64, f32) = {
-        let state = shared.state.read().expect("serving state poisoned");
-        // Capture the generation while holding the state lock, pairing the
-        // epoch with the matrices the rows are computed from.
-        let epoch = shared.epoch.load(Ordering::SeqCst);
-        {
-            let mut cache = shared.cache.lock().expect("cache lock poisoned");
-            for (slot, &node) in nodes.iter().enumerate() {
-                match cache.get(node) {
-                    Some(row) => {
-                        z_hat[slot] = Some(row.to_vec());
-                        cached[slot] = true;
-                    }
-                    None => {
-                        misses.push(node);
-                        miss_slots.push(slot);
-                    }
-                }
-            }
-        }
-        // Both the owned and the mapped embedding store serve through the
-        // same borrowed view, so an engine on a v2 mapping reads `H` rows
-        // straight off the file pages here.
-        let embeddings = state.embeddings.view();
-        let computed = if misses.is_empty() {
-            DenseMatrix::zeros(0, classes)
-        } else {
-            match state.operator.as_ref() {
-                Some(operator) => operator.matrix.view().spmm_rows(&misses, embeddings)?,
-                None => embeddings.select_rows(&misses)?,
-            }
-        };
-        let h_rows = embeddings.select_rows(nodes)?;
-        (computed, h_rows, epoch, state.alpha)
-    };
-    shared
-        .stats
-        .cache_hits
-        .add((nodes.len() - misses.len()) as u64);
-    shared.stats.cache_misses.add(misses.len() as u64);
-    if !misses.is_empty() {
-        let mut evicted = 0usize;
-        let mut cache = shared.cache.lock().expect("cache lock poisoned");
-        // If the serving state was mutated while we computed, the rows are
-        // still a consistent answer for this query (it raced the update) but
-        // must not poison the freshly cleared/repaired cache.
-        let cache_rows = shared.epoch.load(Ordering::SeqCst) == computed_epoch;
-        for (i, &slot) in miss_slots.iter().enumerate() {
-            let row = computed.row(i).to_vec();
-            if cache_rows {
-                evicted += cache.insert(misses[i], row.clone());
-            }
-            z_hat[slot] = Some(row);
-        }
-        drop(cache);
-        shared.stats.cache_evictions.add(evicted as u64);
-    }
-
-    // Eq. 6: Z_u = (1−α)·Ẑ_u + α·H_u, exactly as the training-side forward.
-    let stale = shared.stale.lock().expect("stale lock poisoned");
-    let mut out = Vec::with_capacity(nodes.len());
-    for (slot, &node) in nodes.iter().enumerate() {
-        let z_hat_row = z_hat[slot].take().expect("every slot resolved");
-        let h_row = h_rows.row(slot);
-        let mut logits = Vec::with_capacity(classes);
-        for (z, &h) in z_hat_row.iter().zip(h_row.iter()) {
-            logits.push((1.0 - alpha) * z + alpha * h);
-        }
-        let label = logits
-            .iter()
-            .enumerate()
-            .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                if v > bv {
-                    (i, v)
-                } else {
-                    (bi, bv)
-                }
-            })
-            .0;
-        out.push(Prediction {
-            node,
-            logits,
-            label,
-            cached: cached[slot],
-            stale: stale.contains(&node),
-        });
-    }
-    drop(stale);
-    shared.stats.nodes_served.add(nodes.len() as u64);
-    shared.stats.batches_served.inc();
-    Ok(out)
 }

@@ -165,18 +165,6 @@ pub enum ServeError {
         /// Expected square dimension (the node count).
         expected: usize,
     },
-    /// The engine configuration requests concurrency the shared
-    /// [`sigma_parallel::ThreadPool`] cannot provide (a zero-capacity
-    /// misconfiguration), e.g. more `workers` than pool threads or a zero
-    /// `max_chunk`.
-    WorkerConfig {
-        /// The configured worker bound (`0` = auto).
-        workers: usize,
-        /// The shared pool's thread count at validation time.
-        pool_threads: usize,
-        /// What exactly is wrong and how to fix it.
-        reason: &'static str,
-    },
     /// A shard-router configuration is unusable (zero shards, or shard
     /// snapshots that disagree on graph dimensions).
     ShardConfig {
@@ -226,15 +214,6 @@ impl fmt::Display for ServeError {
             ServeError::OperatorMismatch { got, expected } => write!(
                 f,
                 "replacement operator shape {got:?} does not match the served graph of {expected} nodes"
-            ),
-            ServeError::WorkerConfig {
-                workers,
-                pool_threads,
-                reason,
-            } => write!(
-                f,
-                "invalid worker configuration ({workers} workers against a shared pool of \
-                 {pool_threads} threads): {reason}"
             ),
             ServeError::ShardConfig { shards, reason } => {
                 write!(f, "invalid shard configuration ({shards} shards): {reason}")
@@ -325,13 +304,6 @@ mod tests {
             expected: 7,
         };
         assert!(e.to_string().contains('7'));
-        let e = ServeError::WorkerConfig {
-            workers: 9,
-            pool_threads: 4,
-            reason: "workers exceed the shared pool size",
-        };
-        assert!(e.to_string().contains('9'));
-        assert!(e.to_string().contains("exceed"));
         let e: ServeError = std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into();
         assert!(std::error::Error::source(&e).is_some());
     }

@@ -6,23 +6,22 @@
 //! SIGMA's systems property (paper Sec. III-B) is that its aggregation
 //! operator `S` is a *constant, precomputed* top-k matrix. At serve time the
 //! model therefore collapses to three artifacts — the encoder weights, `S`,
-//! and the scalar `α` — and a query for `b` nodes needs only
-//!
-//! 1. the precomputed full-graph embedding `H` (built once at engine start),
-//! 2. the `b` rows of `S`, applied with the `O(b·k·f)` row-sliced kernel
-//!    [`sigma_matrix::CsrMatrix::spmm_rows`],
-//! 3. the Eq. 6 blend `Z = (1−α)·S·H + α·H` on those rows.
+//! and the scalar `α` — and the served answer `Z = (1−α)·S·H + α·H`
+//! (Eq. 6) is a fixed `n × C` table: the engine encodes `H` once, computes
+//! `Z` with one SpMM, and answers a query for `b` nodes with `b` row reads.
+//! Graph edits recompute only the affected rows, with the row-sliced kernel
+//! [`sigma_matrix::CsrMatrix::spmm_rows`].
 //!
 //! The crate provides:
 //!
 //! * [`ServeSnapshot`] — a versioned, self-contained binary artifact
 //!   (weights + operator + serving inputs) with typed load-time validation,
-//! * [`InferenceEngine`] — single and batched queries planned through a
-//!   bounded LRU cache of aggregated rows, fanned out across the shared
-//!   [`sigma_parallel::ThreadPool`] (no engine-private threads),
+//! * [`InferenceEngine`] — single and batched queries served as row reads
+//!   of the materialised logits table,
 //! * a staleness hook consuming [`sigma_simrank::EdgeUpdate`] streams and
 //!   [`sigma_simrank::DynamicSimRank`] refreshes, so an evolving graph
-//!   invalidates exactly the affected cached rows,
+//!   marks exactly the affected rows stale, and incremental repair that
+//!   recomputes exactly the affected rows,
 //! * [`ShardRouter`] — N engines behind one façade, each serving a row
 //!   range of the operator cut by nnz mass, with scatter/gather queries
 //!   and footprint-sparse repair fan-out, bitwise-equal to one engine.
@@ -57,7 +56,6 @@
 
 #![deny(missing_docs)]
 
-mod cache;
 mod codec;
 mod engine;
 mod error;
@@ -68,7 +66,6 @@ mod shard;
 mod snapshot;
 mod store;
 
-pub use cache::LruCache;
 pub use engine::{
     EngineConfig, EngineRepair, EngineStats, InferenceEngine, OperatorPatch, Prediction,
     SimilarNode,

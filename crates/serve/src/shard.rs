@@ -7,7 +7,7 @@
 //! near-equal operator nnz mass with
 //! [`sigma_parallel::partition_by_weight`]; [`ShardRouter`] runs one
 //! [`InferenceEngine`] per range — each serving the full-shape operator
-//! with every out-of-range row empty, so shard-local caches, repairs and
+//! with every out-of-range row empty, so shard-local tables, repairs and
 //! invalidation reuse the single-engine machinery unchanged — and:
 //!
 //! * **scatter/gathers** [`ShardRouter::predict`] /
@@ -33,7 +33,7 @@
 //! `sigma_testutil::replay_differential_sharded` replays seeded edit
 //! traces against a 1-engine reference and an N-shard router
 //! simultaneously, asserting per-batch bitwise equality of logits,
-//! labels, operator rows, and per-shard hit/eviction accounting.
+//! labels, operator rows, and per-shard recompute accounting.
 
 use crate::engine::{
     EngineConfig, EngineRepair, EngineStats, InferenceEngine, OperatorPatch, Prediction,
@@ -48,23 +48,18 @@ use sigma_simrank::{DynamicSimRank, EdgeUpdate, RepairOutcome};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Tuning knobs of a [`ShardRouter`].
+/// Construction options of a [`ShardRouter`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardRouterConfig {
     /// Number of shards to cut the operator into. Must be non-zero; may
     /// exceed the node count (the surplus shards own empty ranges and
     /// never receive traffic).
     pub shards: usize,
-    /// Per-shard engine configuration (cache capacity is *per shard*).
-    pub engine: EngineConfig,
 }
 
 impl Default for ShardRouterConfig {
     fn default() -> Self {
-        Self {
-            shards: 1,
-            engine: EngineConfig::default(),
-        }
+        Self { shards: 1 }
     }
 }
 
@@ -151,13 +146,13 @@ pub struct RouterRepair {
 ///
 /// The `engines` field sums the per-shard [`EngineStats`] field-wise; the
 /// same tearing semantics apply (each field individually monotone, no
-/// cross-field consistency while traffic is in flight). Cache hit/miss and
-/// eviction sums match a single engine's counters exactly when every shard
-/// cache is as large as its range (the differential oracle asserts this);
-/// `embedding_rows_repaired` sums *per-shard* re-encodes and therefore
-/// over-counts a single engine's by up to the repair fan-out, and
-/// `repair_dirty_seeds` is tracked at router level instead (the maintainer
-/// runs once per round, not once per shard).
+/// cross-field consistency while traffic is in flight). Serving counts
+/// match a single engine's exactly; `embedding_rows_repaired` and
+/// `rows_invalidated` sum *per-shard* work and therefore over-count a
+/// single engine's (every fanned shard re-encodes the edited nodes and
+/// recomputes their own rows, in range or not), and `repair_dirty_seeds`
+/// is tracked at router level instead (the maintainer runs once per round,
+/// not once per shard).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouterStats {
     /// Field-wise sum of the per-shard engine counters.
@@ -291,7 +286,7 @@ impl RouterMetrics {
 ///
 /// Construction cuts the operator by row ranges ([`ShardPlan`]) and gives
 /// each shard the full-shape `n × n` operator with out-of-range rows
-/// empty: every engine-local mechanism (row cache keyed by node id,
+/// empty: every engine-local mechanism (logits table indexed by node id,
 /// reverse-pattern invalidation, row-patch repair) works unchanged, and
 /// queries for a node hit exactly the shard owning its row. The public
 /// surface mirrors [`InferenceEngine`]; results are bitwise identical to
@@ -351,7 +346,7 @@ impl ShardRouter {
                 )?);
             }
             engines.push(
-                InferenceEngine::new(&shard_snapshot, config.engine)
+                InferenceEngine::new(&shard_snapshot, EngineConfig::default())
                     .map_err(|e| shard_error(shard, e))?,
             );
         }
@@ -372,10 +367,7 @@ impl ShardRouter {
     /// Every per-shard failure — including a snapshot failing its deferred
     /// `verify()` — surfaces as [`ServeError::Shard`] naming the shard
     /// index, never a panic or a silently smaller fleet.
-    pub fn from_mapped(
-        snapshots: Vec<Arc<MappedSnapshot>>,
-        engine_config: EngineConfig,
-    ) -> Result<Self> {
+    pub fn from_mapped(snapshots: Vec<Arc<MappedSnapshot>>) -> Result<Self> {
         if snapshots.is_empty() {
             return Err(ServeError::ShardConfig {
                 shards: 0,
@@ -386,7 +378,7 @@ impl ShardRouter {
         let mut engines = Vec::with_capacity(shards);
         for (shard, snap) in snapshots.iter().enumerate() {
             engines.push(
-                InferenceEngine::from_mapped(snap.clone(), engine_config)
+                InferenceEngine::from_mapped(snap.clone(), EngineConfig::default())
                     .map_err(|e| shard_error(shard, e))?,
             );
         }
@@ -481,8 +473,7 @@ impl ShardRouter {
     }
 
     /// Serves a batch: scatters nodes to their owning shards, queries each
-    /// touched shard once with its sub-batch (shards parallelise
-    /// internally on the shared pool), and gathers predictions back in
+    /// touched shard once with its sub-batch, and gathers predictions back in
     /// canonical request order. Duplicate nodes are served per occurrence,
     /// as a single engine would.
     pub fn predict_batch(&self, nodes: &[usize]) -> Result<Vec<Prediction>> {
@@ -619,8 +610,8 @@ impl ShardRouter {
     /// skipped when the footprint misses its row range and none of its
     /// operator rows reference an affected node — exactly the rows a
     /// single engine would touch, restricted to that shard's range.
-    /// Returns the total number of cached rows invalidated across the
-    /// fleet.
+    /// Returns the number of rows marked stale across the fleet, each row
+    /// counted once (on its owner shard) — what one engine would return.
     pub fn apply_edge_updates(&self, updates: &[EdgeUpdate]) -> Result<usize> {
         let mut total = 0usize;
         let mut fanout = 0u64;
@@ -633,7 +624,11 @@ impl ShardRouter {
             let needs = affected.iter().any(|a| range.contains(a))
                 || !engine.referencing_rows(&affected).is_empty();
             if needs {
-                total += engine.invalidate_nodes(&affected);
+                total += engine
+                    .invalidate_nodes(&affected)
+                    .iter()
+                    .filter(|row| range.contains(row))
+                    .count();
                 fanout += 1;
             } else {
                 skipped += 1;
@@ -834,11 +829,6 @@ impl ShardRouter {
         out
     }
 
-    /// Total aggregated rows cached across the fleet.
-    pub fn cached_rows(&self) -> usize {
-        self.engines.iter().map(|e| e.cached_rows()).sum()
-    }
-
     /// A point-in-time copy of the router and per-shard counters. Same
     /// tearing semantics as [`InferenceEngine::stats`].
     pub fn stats(&self) -> RouterStats {
@@ -847,9 +837,6 @@ impl ShardRouter {
         for s in &per_shard {
             engines.nodes_served += s.nodes_served;
             engines.batches_served += s.batches_served;
-            engines.cache_hits += s.cache_hits;
-            engines.cache_misses += s.cache_misses;
-            engines.cache_evictions += s.cache_evictions;
             engines.rows_invalidated += s.rows_invalidated;
             engines.operator_refreshes += s.operator_refreshes;
             engines.operator_repairs += s.operator_repairs;
@@ -900,7 +887,7 @@ fn plan_for(
 
 /// The full-shape operator with every row outside `range` empty: shard
 /// engines serve their own rows from the same `(n, n)` coordinate space,
-/// so node ids, caches and patches need no translation.
+/// so node ids, table rows and patches need no translation.
 fn masked_operator(operator: &CsrViewAny<'_>, range: &Range<usize>) -> Result<CsrMatrix> {
     let (rows, cols) = operator.shape();
     let mut nnz = 0usize;

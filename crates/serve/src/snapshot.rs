@@ -17,6 +17,7 @@ use sigma_matrix::{CsrMatrix, DenseMatrix};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic bytes identifying a SIGMA snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SIGMASNP";
@@ -99,13 +100,46 @@ impl ServeSnapshot {
         Ok(())
     }
 
-    /// Writes the snapshot to `path` (creating or truncating the file).
+    /// Writes the snapshot to `path`, atomically replacing any file there.
+    ///
+    /// The bytes go to a temporary file in the same directory, which is
+    /// fsynced and then renamed over `path`; the directory is fsynced last.
+    /// A reader never sees a half-written file, and a live
+    /// [`MappedSnapshot`] of the old file keeps its pages: the rename
+    /// unlinks the old inode instead of truncating it under the mapping.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let file = File::create(path)?;
-        let mut w = BufWriter::new(file);
-        self.write_to(&mut w)?;
-        w.flush()?;
-        Ok(())
+        static SAVE_ID: AtomicU64 = AtomicU64::new(0);
+        let path = path.as_ref();
+        let name = path.file_name().ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("snapshot path {} names no file", path.display()),
+            )
+        })?;
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        let tmp = dir.join(format!(
+            ".{}.{}-{}.tmp",
+            name.to_string_lossy(),
+            std::process::id(),
+            SAVE_ID.fetch_add(1, Ordering::Relaxed)
+        ));
+        let write = || -> Result<()> {
+            let mut w = BufWriter::new(File::create(&tmp)?);
+            self.write_to(&mut w)?;
+            w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+            std::fs::rename(&tmp, path)?;
+            #[cfg(unix)]
+            File::open(dir)?.sync_all()?;
+            Ok(())
+        };
+        let result = write();
+        if result.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        result
     }
 
     /// Reads a snapshot from `path`, validating magic, version and every

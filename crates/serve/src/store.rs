@@ -5,9 +5,8 @@
 //! of a shared [`MappedSnapshot`] (the v2 zero-copy path). Every kernel
 //! call goes through [`CsrStore::view`]/[`DenseStore::view`], so both
 //! representations run the same view-first kernels and stay bitwise
-//! identical. Mutation (incremental repair) promotes a mapped store to
-//! owned copy-on-write via `make_owned` — the mapping itself is never
-//! written.
+//! identical. Incremental repair builds owned replacements for the
+//! matrices it patches — the mapping itself is never written.
 
 use crate::{MappedSnapshot, Result};
 use sigma::snapshot::ModelSnapshot;
@@ -41,20 +40,6 @@ impl CsrStore {
                     .operator_view()
                     .expect("operator store built only when the section exists"),
             },
-        }
-    }
-
-    /// Copy-on-write promotion: a mapped store becomes owned (decoded and
-    /// revalidated) so the caller can mutate it; an owned store is returned
-    /// as-is.
-    pub(crate) fn make_owned(&mut self) -> Result<&mut CsrMatrix> {
-        if matches!(self, CsrStore::Mapped { .. }) {
-            let owned = self.view().to_owned_matrix()?;
-            *self = CsrStore::Owned(owned);
-        }
-        match self {
-            CsrStore::Owned(m) => Ok(m),
-            CsrStore::Mapped { .. } => unreachable!("promoted above"),
         }
     }
 
@@ -98,22 +83,6 @@ impl DenseStore {
                     .expect("embedding store built only when the section exists"),
             },
         }
-    }
-
-    /// Copy-on-write promotion, mirroring [`CsrStore::make_owned`].
-    pub(crate) fn make_owned(&mut self) -> &mut DenseMatrix {
-        if matches!(self, DenseStore::Mapped { .. }) {
-            let owned = self.view().to_owned_matrix();
-            *self = DenseStore::Owned(owned);
-        }
-        match self {
-            DenseStore::Owned(m) => m,
-            DenseStore::Mapped { .. } => unreachable!("promoted above"),
-        }
-    }
-
-    pub(crate) fn rows(&self) -> usize {
-        self.view().rows()
     }
 }
 

@@ -4,8 +4,8 @@
 //! Every case runs the `sigma_testutil` oracle, which replays an edit trace
 //! through a long-lived engine patched by `InferenceEngine::repair_from` and
 //! through from-scratch recomputation on the edited graph, asserting after
-//! each batch that the operator rows, every served logit, and the cache
-//! observability counters agree exactly. The same trace is replayed with the
+//! each batch that the operator rows, every served logit, and the
+//! recompute accounting agree exactly. The same trace is replayed with the
 //! shared pool pinned to 1 and to 4 threads — repair must be bitwise
 //! deterministic in the thread count too.
 
@@ -79,7 +79,7 @@ fn empty_trace_is_an_exact_no_op_at_both_widths() {
     assert_eq!(serial, parallel);
     assert_eq!(serial.operator_rows_patched, 0);
     assert_eq!(serial.embedding_rows_patched, 0);
-    assert_eq!(serial.cache_rows_invalidated, 0);
+    assert_eq!(serial.rows_invalidated, 0);
 }
 
 #[test]

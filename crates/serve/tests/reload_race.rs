@@ -2,8 +2,7 @@
 //! must observe only *pre*- or *post*-reload logits, never a torn mix.
 //!
 //! The engine's contract (PR 7) is that a reload swaps the serving state
-//! under one write lock while each query/batch holds one read lock, with
-//! the operator-epoch guard keeping stale rows out of the cache. This test
+//! under one write lock while each query/batch holds one read lock. This test
 //! races real threads against a real mapped reload and asserts the
 //! observable half of that contract, at 1 and at 4 querier threads.
 
@@ -64,9 +63,8 @@ fn run_reload_race(queriers: usize, seed: u64) {
                 let mut observed_post = 0usize;
                 let mut node = t;
                 while !stop.load(Ordering::Relaxed) {
-                    // Alternate single predicts and small batches (both
-                    // paths hold one state read lock end-to-end for sizes
-                    // within max_chunk).
+                    // Small batches: each holds one state read lock
+                    // end-to-end.
                     let batch = [node, (node + 1) % num_nodes, (node + 2) % num_nodes];
                     let predictions = engine.predict_batch(&batch).expect("racing batch");
                     let mut batch_sides = Vec::with_capacity(batch.len());
@@ -85,8 +83,8 @@ fn run_reload_race(queriers: usize, seed: u64) {
                             );
                         }
                     }
-                    // A batch within max_chunk is served under one state
-                    // read lock: it must be wholly pre or wholly post.
+                    // A batch is served under one state read lock: it must
+                    // be wholly pre or wholly post.
                     assert!(
                         batch_sides.windows(2).all(|w| w[0] == w[1]),
                         "one batch mixed snapshots: {batch_sides:?}"

@@ -121,54 +121,30 @@ fn served_logits_match_full_graph_forward_after_disk_round_trip() {
 }
 
 #[test]
-fn single_and_batched_queries_agree_and_hit_the_cache() {
+fn single_and_batched_queries_agree() {
     let fixture = trained_fixture(13);
-    let engine = InferenceEngine::new(
-        &fixture.snapshot,
-        EngineConfig {
-            cache_capacity: 64,
-            workers: 0,
-            max_chunk: 16,
-        },
-    )
-    .unwrap();
+    let engine = InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).unwrap();
 
     let first = engine.predict(5).unwrap();
-    assert!(!first.cached, "first query cannot be a cache hit");
     let second = engine.predict(5).unwrap();
-    assert!(second.cached, "repeat query must hit the cache");
-    assert_eq!(first.logits, second.logits);
-    assert_eq!(first.label, second.label);
+    assert_eq!(first, second, "repeat queries serve the same row");
 
     let batch = engine.predict_batch(&[5, 6, 5, 7]).unwrap();
     assert_eq!(batch.len(), 4);
-    assert_eq!(batch[0].logits, first.logits);
-    assert_eq!(batch[2].logits, first.logits);
-    assert!(batch[0].cached);
+    assert_eq!(batch[0], first);
+    assert_eq!(batch[2], first);
+    assert_eq!(batch[1], engine.predict(6).unwrap());
 
     let stats = engine.stats();
-    assert!(stats.cache_hits >= 3);
-    assert!(stats.cache_misses >= 3);
-    assert_eq!(stats.nodes_served, 6);
+    assert_eq!(stats.nodes_served, 7);
+    assert_eq!(stats.batches_served, 4);
 }
 
 #[test]
-fn worker_pool_serves_large_batches_in_order() {
-    // Explicit worker counts are validated against the shared pool, so make
-    // sure the pool is at least as wide as the workers we request.
-    sigma_parallel::set_global_threads(4);
+fn large_batches_are_served_in_order() {
     let fixture = trained_fixture(17);
     let n = fixture.snapshot.num_nodes();
-    let engine = InferenceEngine::new(
-        &fixture.snapshot,
-        EngineConfig {
-            cache_capacity: 16,
-            workers: 3,
-            max_chunk: 7,
-        },
-    )
-    .unwrap();
-    // A batch far larger than max_chunk exercises the pooled path.
+    let engine = InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).unwrap();
     let nodes: Vec<usize> = (0..n).chain(0..n).collect();
     let served = engine.predict_batch(&nodes).unwrap();
     assert_eq!(served.len(), 2 * n);
@@ -178,34 +154,18 @@ fn worker_pool_serves_large_batches_in_order() {
             &prediction.logits,
             fixture.full_logits.row(prediction.node),
             1e-6,
-            "pooled serving vs full forward",
+            "batched serving vs full forward",
         );
     }
-    assert!(
-        engine.stats().batches_served >= 2,
-        "chunks served independently"
-    );
-    // Restore the SIGMA_NUM_THREADS-derived width for the rest of the
-    // binary (kernel results are identical either way — determinism — but
-    // the CI serial leg should stay serial outside this test).
-    sigma_parallel::set_global_threads(0);
+    assert_eq!(engine.stats().batches_served, 1);
 }
 
 #[test]
 fn concurrent_callers_share_one_engine() {
-    sigma_parallel::set_global_threads(4);
     let fixture = trained_fixture(19);
     let n = fixture.snapshot.num_nodes();
     let engine = std::sync::Arc::new(
-        InferenceEngine::new(
-            &fixture.snapshot,
-            EngineConfig {
-                cache_capacity: 128,
-                workers: 2,
-                max_chunk: 8,
-            },
-        )
-        .unwrap(),
+        InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).unwrap(),
     );
     let expected = std::sync::Arc::new(fixture.full_logits);
     let handles: Vec<_> = (0..4)
@@ -230,45 +190,6 @@ fn concurrent_callers_share_one_engine() {
         handle.join().unwrap();
     }
     assert_eq!(engine.stats().nodes_served as usize, 4 * 5 * n);
-    sigma_parallel::set_global_threads(0);
-}
-
-#[test]
-fn zero_capacity_engine_configs_are_rejected() {
-    // Standalone fixed-size pools make these assertions independent of the
-    // global thread override (which other tests in this binary may change).
-    let pool = sigma_parallel::ThreadPool::with_threads(2);
-    // A zero max_chunk can serve no nodes per chunk.
-    assert!(matches!(
-        EngineConfig {
-            cache_capacity: 4,
-            workers: 1,
-            max_chunk: 0,
-        }
-        .validate(&pool),
-        Err(ServeError::WorkerConfig { .. })
-    ));
-    // More workers than the pool could ever run concurrently.
-    let too_many = EngineConfig {
-        cache_capacity: 4,
-        workers: usize::MAX,
-        max_chunk: 8,
-    };
-    assert!(matches!(
-        too_many.validate(&pool),
-        Err(ServeError::WorkerConfig { .. })
-    ));
-    // The default (auto workers) is valid against any pool size and clamps
-    // to the pool's capacity.
-    assert!(EngineConfig::default().validate(&pool).is_ok());
-    assert_eq!(EngineConfig::default().effective_workers(&pool), 2);
-    assert_eq!(too_many.effective_workers(&pool), 2);
-    // The engine constructor applies the same validation up front, against
-    // the global pool: usize::MAX workers exceed any pool (capped at
-    // MAX_THREADS), so this errors under every thread configuration.
-    let fixture = trained_fixture(29);
-    let err = InferenceEngine::new(&fixture.snapshot, too_many).unwrap_err();
-    assert!(err.to_string().contains("shared pool"));
 }
 
 #[test]
@@ -284,7 +205,7 @@ fn queries_out_of_range_are_rejected() {
         engine.predict_batch(&[0, n + 5]),
         Err(ServeError::InvalidQuery { .. })
     ));
-    // Pooled path also surfaces the error.
+    // A large batch surfaces the error too, serving nothing.
     let mut nodes: Vec<usize> = (0..n).collect();
     nodes.push(n + 1);
     assert!(engine.predict_batch(&nodes).is_err());
@@ -293,31 +214,20 @@ fn queries_out_of_range_are_rejected() {
 #[test]
 fn edge_updates_invalidate_affected_rows_and_mark_them_stale() {
     let fixture = trained_fixture(29);
-    let engine = InferenceEngine::new(
-        &fixture.snapshot,
-        EngineConfig {
-            cache_capacity: 1024,
-            workers: 0,
-            max_chunk: 64,
-        },
-    )
-    .unwrap();
+    let engine = InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).unwrap();
     let n = fixture.snapshot.num_nodes();
-    let all: Vec<usize> = (0..n).collect();
-    let _ = engine.predict_batch(&all).unwrap();
-    let cached_before = engine.cached_rows();
-    assert_eq!(cached_before, n.min(1024));
 
     let invalidated = engine
         .apply_edge_updates(&[EdgeUpdate::Insert(0, 1)])
         .unwrap();
-    assert!(
-        invalidated > 0,
-        "the affected region must evict cached rows"
-    );
-    assert!(engine.cached_rows() < cached_before);
     let stale = engine.stale_nodes();
     assert!(stale.contains(&0) && stale.contains(&1));
+    assert_eq!(
+        invalidated,
+        stale.len(),
+        "the returned count is the number of rows marked stale"
+    );
+    assert!(invalidated < n, "invalidation must be targeted");
 
     // Predictions for stale nodes are flagged; untouched nodes are not.
     let p0 = engine.predict(0).unwrap();
@@ -338,15 +248,7 @@ fn edge_updates_invalidate_affected_rows_and_mark_them_stale() {
 fn dynamic_maintainer_refresh_swaps_the_operator() {
     let fixture = trained_fixture(31);
     let n = fixture.snapshot.num_nodes();
-    let engine = InferenceEngine::new(
-        &fixture.snapshot,
-        EngineConfig {
-            cache_capacity: 256,
-            workers: 0,
-            max_chunk: 64,
-        },
-    )
-    .unwrap();
+    let engine = InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).unwrap();
 
     // A maintainer over the same graph with a small staleness budget.
     let graph = sigma::graph::Graph::from_edges(

@@ -1,10 +1,10 @@
-//! Pins the documented `EngineStats` snapshot semantics (observability PR
-//! satellite): snapshots are lock-free relaxed loads, so each counter is
-//! individually monotone and exact, cross-counter identities hold once the
-//! engine quiesces, and nothing more is promised while queries are in
-//! flight. Also covers the counters this PR added (`cache_evictions`,
-//! `repair_dirty_seeds`) and, with the `obs` feature on, the engine's
-//! registration in the process-wide metrics registry.
+//! Pins the documented `EngineStats` snapshot semantics: snapshots are
+//! lock-free relaxed loads, so each counter is individually monotone and
+//! exact, cross-counter identities hold once the engine quiesces, and
+//! nothing more is promised while queries are in flight. Also covers the
+//! repair counters (`rows_invalidated`, `repair_dirty_seeds`) and, with the
+//! `obs` feature on, the engine's registration in the process-wide metrics
+//! registry.
 
 use sigma_serve::{EngineConfig, EngineStats, InferenceEngine, ServeSnapshot};
 use sigma_simrank::EdgeUpdate;
@@ -12,16 +12,8 @@ use sigma_testutil::{random_graph, serving_fixture};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn engine(snapshot: &ServeSnapshot, cache_capacity: usize) -> InferenceEngine {
-    InferenceEngine::new(
-        snapshot,
-        EngineConfig {
-            cache_capacity,
-            workers: 0,
-            max_chunk: 8,
-        },
-    )
-    .expect("engine")
+fn engine(snapshot: &ServeSnapshot) -> InferenceEngine {
+    InferenceEngine::new(snapshot, EngineConfig::default()).expect("engine")
 }
 
 fn assert_monotone(prev: &EngineStats, next: &EngineStats) {
@@ -30,13 +22,6 @@ fn assert_monotone(prev: &EngineStats, next: &EngineStats) {
     let pairs = [
         ("nodes_served", prev.nodes_served, next.nodes_served),
         ("batches_served", prev.batches_served, next.batches_served),
-        ("cache_hits", prev.cache_hits, next.cache_hits),
-        ("cache_misses", prev.cache_misses, next.cache_misses),
-        (
-            "cache_evictions",
-            prev.cache_evictions,
-            next.cache_evictions,
-        ),
         (
             "rows_invalidated",
             prev.rows_invalidated,
@@ -74,7 +59,7 @@ fn snapshots_are_monotone_under_concurrent_load_and_exact_at_quiescence() {
     let graph = random_graph(24, 10, 7);
     let fixture = serving_fixture(&graph, 4, 7);
     let n = graph.num_nodes();
-    let engine = Arc::new(engine(&fixture.snapshot, n));
+    let engine = Arc::new(engine(&fixture.snapshot));
 
     let stop = Arc::new(AtomicBool::new(false));
     let queriers: Vec<_> = (0..3)
@@ -98,7 +83,7 @@ fn snapshots_are_monotone_under_concurrent_load_and_exact_at_quiescence() {
                         break;
                     }
                 }
-                nodes_queried
+                (nodes_queried, 2 * iters)
             })
         })
         .collect();
@@ -112,43 +97,21 @@ fn snapshots_are_monotone_under_concurrent_load_and_exact_at_quiescence() {
     }
 
     stop.store(true, Ordering::Relaxed);
-    let mut nodes_queried = 0u64;
+    let (mut nodes_queried, mut batches_queried) = (0u64, 0u64);
     for handle in queriers {
-        nodes_queried += handle.join().expect("querier");
+        let (nodes, batches) = handle.join().expect("querier");
+        nodes_queried += nodes;
+        batches_queried += batches;
     }
 
-    // Quiesced: the documented cross-field identities hold exactly.
+    // Quiesced: the documented counts hold exactly.
     let settled = engine.stats();
     assert_eq!(settled.nodes_served, nodes_queried);
     assert_eq!(
-        settled.cache_hits + settled.cache_misses,
-        settled.nodes_served,
-        "every served node is exactly one hit or one miss"
+        settled.batches_served, batches_queried,
+        "every predict and predict_batch call is exactly one served batch"
     );
-    assert!(settled.batches_served > 0);
-}
-
-#[test]
-fn capacity_pressure_is_counted_as_evictions_not_invalidations() {
-    let graph = random_graph(30, 8, 21);
-    let fixture = serving_fixture(&graph, 4, 21);
-    let n = graph.num_nodes();
-    // Cache far smaller than the working set: sweeping all nodes twice must
-    // displace live entries by LRU pressure alone.
-    let engine = engine(&fixture.snapshot, 4);
-    let all: Vec<usize> = (0..n).collect();
-    let _ = engine.predict_batch(&all).expect("first sweep");
-    let _ = engine.predict_batch(&all).expect("second sweep");
-    let stats = engine.stats();
-    assert!(
-        stats.cache_evictions > 0,
-        "an undersized cache must report LRU displacement"
-    );
-    assert_eq!(
-        stats.rows_invalidated, 0,
-        "no edits happened: correctness invalidations must stay at zero"
-    );
-    assert!(engine.cached_rows() <= 4);
+    assert_eq!(settled.rows_invalidated, 0, "reads never invalidate rows");
 }
 
 #[test]
@@ -156,7 +119,7 @@ fn repair_accounts_dirty_seeds() {
     let graph = random_graph(22, 14, 31);
     let mut fixture = serving_fixture(&graph, 5, 31);
     let n = graph.num_nodes();
-    let engine = engine(&fixture.snapshot, n);
+    let engine = engine(&fixture.snapshot);
     fixture
         .maintainer
         .apply(EdgeUpdate::Insert(0, n / 2))
@@ -166,6 +129,11 @@ fn repair_accounts_dirty_seeds() {
     let after = engine.stats();
     assert!(!repair.full_refresh);
     assert_eq!(after.operator_repairs, before.operator_repairs + 1);
+    assert_eq!(
+        after.rows_invalidated - before.rows_invalidated,
+        repair.invalidated_rows.len() as u64,
+        "rows_invalidated counts exactly the recomputed rows"
+    );
     assert!(
         after.repair_dirty_seeds > before.repair_dirty_seeds,
         "an edge insert must dirty at least the endpoint seeds"
@@ -178,7 +146,7 @@ fn engine_counters_appear_in_the_global_registry() {
     let graph = random_graph(16, 8, 5);
     let fixture = serving_fixture(&graph, 4, 5);
     let n = graph.num_nodes();
-    let engine = engine(&fixture.snapshot, n);
+    let engine = engine(&fixture.snapshot);
     let before = sigma_obs::snapshot().counter("sigma_serve_nodes_served_total");
     let all: Vec<usize> = (0..n).collect();
     let _ = engine.predict_batch(&all).expect("query");

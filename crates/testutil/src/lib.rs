@@ -11,17 +11,17 @@
 //!   [`sigma_serve::InferenceEngine`] + in-sync
 //!   [`sigma_simrank::DynamicSimRank`]) and [`oracle::replay_differential`],
 //!   which replays an edit trace through (a) from-scratch recomputation and
-//!   (b) incremental repair, asserting after every batch that the operator,
-//!   every served logit, and the cache-hit observability counters are
-//!   **bitwise identical** between the two paths — and that repair touched
-//!   only the rows it reported. [`oracle::replay_differential_sharded`]
+//!   (b) incremental repair, asserting after every batch that the operator
+//!   and every served logit are **bitwise identical** between the two
+//!   paths — and that repair recomputed exactly the rows it reported, which
+//!   the `rows_invalidated` counter counts. [`oracle::replay_differential_sharded`]
 //!   generalises the same contract across a shard dimension: the trace is
 //!   replayed against a 1-engine reference and an N-shard
 //!   [`sigma_serve::ShardRouter`] simultaneously (optionally with mapped
 //!   shard engines), asserting per-batch bitwise equality of logits,
 //!   labels, operator rows, interleaved `most_similar` answers (ids and
 //!   score bits, before and after each repair), and exact per-shard
-//!   hit/eviction accounting, plus footprint-sparse repair fan-out.
+//!   recompute accounting, plus footprint-sparse repair fan-out.
 //!
 //! The crate is a regular (non-dev) dependency of test targets only; it
 //! ships no production code paths.

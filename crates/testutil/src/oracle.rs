@@ -11,10 +11,12 @@
 //!
 //! and asserts, after every batch, bitwise equality of the aggregation
 //! operator and of every served logit, plus the observability contract:
-//! the rows the repair reported are a superset of the rows that actually
-//! changed, the eviction counters count exactly the reported set, and every
-//! cache entry outside it survives (checked through the cache-hit counters
-//! of a full warm query). Any divergence panics with the offending row.
+//! the operator rows the repair reported are a superset of the rows that
+//! actually changed, the recomputed `Z` rows are exactly the set derived
+//! independently from the patched operator and the re-encoded nodes and
+//! cover every row whose served logits changed, and the `rows_invalidated`
+//! counter counts exactly that set. Any divergence panics with the
+//! offending row.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,8 +100,8 @@ pub struct DifferentialReport {
     pub operator_rows_patched: usize,
     /// Embedding (`H`) rows re-encoded across all rounds.
     pub embedding_rows_patched: usize,
-    /// Cache rows evicted by targeted invalidation across all rounds.
-    pub cache_rows_invalidated: usize,
+    /// Served `Z` rows recomputed by repair across all rounds.
+    pub rows_invalidated: usize,
     /// Residual absorptions the from-scratch reference runs performed (the
     /// cost incremental repair avoids re-paying).
     pub full_recompute_pushes: usize,
@@ -139,24 +141,17 @@ pub fn replay_differential(
         snapshot,
         mut maintainer,
     } = serving_fixture(graph, top_k, seed);
-    let engine_config = EngineConfig {
-        // Room for every row: the hit-counter locality assertions below
-        // need evictions to be attributable to invalidation alone.
-        cache_capacity: n,
-        workers: 0,
-        max_chunk: 256,
-    };
-    let engine = InferenceEngine::new(&snapshot, engine_config).expect("incremental engine");
+    let engine =
+        InferenceEngine::new(&snapshot, EngineConfig::default()).expect("incremental engine");
     let all_nodes: Vec<usize> = (0..n).collect();
-    // Warm the cache so each round starts with every row resident.
-    let _ = engine.predict_batch(&all_nodes).expect("warm-up query");
+    let mut served_before = engine.predict_batch(&all_nodes).expect("initial query");
 
     let mut report = DifferentialReport {
         rounds: 0,
         num_nodes: n,
         operator_rows_patched: 0,
         embedding_rows_patched: 0,
-        cache_rows_invalidated: 0,
+        rows_invalidated: 0,
         full_recompute_pushes: 0,
     };
 
@@ -188,13 +183,10 @@ pub fn replay_differential(
             repair.embedding_rows.len() as u64,
             "round {round}: embedding_rows_repaired must count exactly the re-encoded set"
         );
-        // The cache held every row, so eviction must count exactly the
-        // reported invalidation set — no more (locality), no less
-        // (coverage).
         assert_eq!(
             stats_after.rows_invalidated - stats_before.rows_invalidated,
             repair.invalidated_rows.len() as u64,
-            "round {round}: rows_invalidated must count exactly the affected set"
+            "round {round}: rows_invalidated must count exactly the recomputed set"
         );
 
         // Reference path: from-scratch recomputation on the edited graph.
@@ -208,6 +200,21 @@ pub fn replay_differential(
             &served_operator,
             &reference_operator,
             &format!("round {round}: repaired operator vs from-scratch operator"),
+        );
+
+        // The recompute set, derived independently: `Z_u` reads operator
+        // row `u`, the `H` rows it references, and `H_u` itself.
+        let reencoded = |c: usize| repair.embedding_rows.binary_search(&c).is_ok();
+        let expected_invalid: Vec<usize> = (0..n)
+            .filter(|&r| {
+                repair.operator_rows.binary_search(&r).is_ok()
+                    || reencoded(r)
+                    || served_operator.row_iter(r).any(|(c, _)| reencoded(c))
+            })
+            .collect();
+        assert_eq!(
+            repair.invalidated_rows, expected_invalid,
+            "round {round}: recomputed rows must be exactly the reference set"
         );
 
         // Coverage: every row that actually changed was reported as patched.
@@ -239,14 +246,11 @@ pub fn replay_differential(
             edited.to_adjacency(),
         )
         .expect("reference snapshot");
-        let reference_engine =
-            InferenceEngine::new(&reference_snapshot, engine_config).expect("reference engine");
+        let reference_engine = InferenceEngine::new(&reference_snapshot, EngineConfig::default())
+            .expect("reference engine");
 
-        // Served outputs must agree bitwise on every node; this query also
-        // re-warms the incremental engine's cache for the next round.
-        let hits_before = engine.stats();
+        // Served outputs must agree bitwise on every node.
         let served = engine.predict_batch(&all_nodes).expect("incremental query");
-        let hits_after = engine.stats();
         let reference_served = reference_engine
             .predict_batch(&all_nodes)
             .expect("reference query");
@@ -266,23 +270,23 @@ pub fn replay_differential(
                 inc.node
             );
         }
-        // Cache-hit observability: exactly the invalidated rows missed; all
-        // other rows survived the repair in cache.
-        assert_eq!(
-            (hits_after.cache_misses - hits_before.cache_misses) as usize,
-            repair.invalidated_rows.len(),
-            "round {round}: cache misses must equal the invalidated set"
-        );
-        assert_eq!(
-            (hits_after.cache_hits - hits_before.cache_hits) as usize,
-            n - repair.invalidated_rows.len(),
-            "round {round}: rows outside the invalidated set must survive in cache"
-        );
+        // Coverage of the recompute set: every row whose served logits
+        // changed was recomputed.
+        for (before, after) in served_before.iter().zip(served.iter()) {
+            if prediction_bits(before) != prediction_bits(after) {
+                assert!(
+                    repair.invalidated_rows.binary_search(&after.node).is_ok(),
+                    "round {round}: logits of node {} changed but the row was not recomputed",
+                    after.node
+                );
+            }
+        }
+        served_before = served;
 
         report.rounds += 1;
         report.operator_rows_patched += repair.operator_rows.len();
         report.embedding_rows_patched += repair.embedding_rows.len();
-        report.cache_rows_invalidated += repair.invalidated_rows.len();
+        report.rows_invalidated += repair.invalidated_rows.len();
     }
     report
 }
@@ -308,21 +312,23 @@ pub struct ShardedDifferentialReport {
 /// Distinguishes concurrently running replays' temp snapshot files.
 static MAPPED_REPLAY_ID: AtomicU64 = AtomicU64::new(0);
 
+fn prediction_bits(p: &Prediction) -> Vec<u32> {
+    p.logits.iter().map(|v| v.to_bits()).collect()
+}
+
 fn assert_predictions_bitwise_eq(routed: &[Prediction], reference: &[Prediction], what: &str) {
     assert_eq!(routed.len(), reference.len(), "{what}: prediction count");
     for (r, f) in routed.iter().zip(reference.iter()) {
         assert_eq!(r.node, f.node, "{what}: request order");
-        let r_bits: Vec<u32> = r.logits.iter().map(|v| v.to_bits()).collect();
-        let f_bits: Vec<u32> = f.logits.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(r_bits, f_bits, "{what}: logits diverge at node {}", r.node);
         assert_eq!(
-            r.label, f.label,
-            "{what}: label diverges at node {}",
+            prediction_bits(r),
+            prediction_bits(f),
+            "{what}: logits diverge at node {}",
             r.node
         );
         assert_eq!(
-            r.cached, f.cached,
-            "{what}: cache attribution diverges at node {}",
+            r.label, f.label,
+            "{what}: label diverges at node {}",
             r.node
         );
         assert_eq!(
@@ -374,21 +380,21 @@ fn similar_query_mix(n: usize, top_k: usize) -> Vec<(usize, usize)> {
 /// * the router's reassembled operator is **bitwise equal** to the
 ///   reference engine's,
 /// * the router's reported changed-row set equals the reference repair's,
-/// * every served prediction (logits, label, cache attribution, staleness)
-///   is bitwise equal in canonical request order,
+/// * every served prediction (logits, label, staleness) is bitwise equal
+///   in canonical request order,
 /// * interleaved `most_similar` queries — before the repair (served off
 ///   the stale operator) and after it — are bitwise equal (ids **and**
-///   score bits) between the router and the reference, never touch the
-///   `Ẑ` cache, and move the `similar_queries` / `similar_routed`
-///   counters by exactly the query count,
+///   score bits) between the router and the reference, never count as
+///   served predictions, and move the `similar_queries` /
+///   `similar_routed` counters by exactly the query count,
 /// * fan-out accounting is exact (`fanout + skipped == shards`) and
 ///   **footprint-sparse**: a skipped shard's range provably misses the
 ///   reference repair's invalidated, patched and re-encoded row sets,
-/// * per-shard eviction/hit accounting is exact: each repaired shard's
-///   invalidated set equals the reference invalidated set restricted to
-///   its range, a full warm query then misses exactly those rows and hits
-///   the rest of the range, and capacity evictions stay zero (each shard
-///   cache is sized to its range).
+/// * per-shard recompute accounting is exact: each repaired shard's
+///   recomputed set, restricted to its range, equals the reference set
+///   restricted to it; outside its range it recomputes only re-encoded
+///   nodes; and each engine's `rows_invalidated` counter moves by exactly
+///   its reported set.
 ///
 /// With `mapped`, the shard engines serve out of one shared
 /// `Arc<MappedSnapshot>` (the v2 zero-copy path) instead of decoded
@@ -417,14 +423,8 @@ pub fn replay_differential_sharded(
         .precompute_embeddings()
         .expect("encoder over the fixture graph");
 
-    let engine_config = EngineConfig {
-        // Room for every row: the per-shard hit accounting below needs
-        // evictions to be attributable to invalidation alone.
-        cache_capacity: n,
-        workers: 0,
-        max_chunk: 256,
-    };
-    let reference = InferenceEngine::new(&base_snapshot, engine_config).expect("reference engine");
+    let reference =
+        InferenceEngine::new(&base_snapshot, EngineConfig::default()).expect("reference engine");
     let router = if mapped {
         let unique = MAPPED_REPLAY_ID.fetch_add(1, Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!(
@@ -434,23 +434,15 @@ pub fn replay_differential_sharded(
         base_snapshot.save(&path).expect("write v2 snapshot");
         let snap = Arc::new(MappedSnapshot::open(&path).expect("map v2 snapshot"));
         std::fs::remove_file(&path).expect("unlink mapped snapshot");
-        ShardRouter::from_mapped(vec![snap; shards], engine_config).expect("mapped shard router")
+        ShardRouter::from_mapped(vec![snap; shards]).expect("mapped shard router")
     } else {
-        ShardRouter::new(
-            &base_snapshot,
-            &ShardRouterConfig {
-                shards,
-                engine: engine_config,
-            },
-        )
-        .expect("shard router")
+        ShardRouter::new(&base_snapshot, &ShardRouterConfig { shards }).expect("shard router")
     };
     assert_eq!(router.num_shards(), shards);
     assert_eq!(router.num_nodes(), n);
 
     let all_nodes: Vec<usize> = (0..n).collect();
-    // Warm both sides so each round starts with every row resident, and
-    // prove the cold-start state already agrees bitwise.
+    // Prove the cold-start state already agrees bitwise.
     let reference_warm = reference.predict_batch(&all_nodes).expect("warm reference");
     let routed_warm = router.predict_batch(&all_nodes).expect("warm router");
     assert_predictions_bitwise_eq(&routed_warm, &reference_warm, "warm-up");
@@ -519,9 +511,15 @@ pub fn replay_differential_sharded(
         );
 
         let router_stats_before = router.stats();
+        let reference_before = reference.stats();
         let reference_repair = reference
             .repair_from(&mut reference_maintainer)
             .expect("reference repair");
+        assert_eq!(
+            reference.stats().rows_invalidated - reference_before.rows_invalidated,
+            reference_repair.invalidated_rows.len() as u64,
+            "round {round}: reference rows_invalidated must count its recomputed set"
+        );
         let router_repair = router
             .repair_from(&mut router_maintainer)
             .expect("router repair");
@@ -564,8 +562,17 @@ pub fn replay_differential_sharded(
         // Fan-out soundness, per shard: a skipped shard's range provably
         // misses every row the reference repair touched; a repaired
         // shard's report is exactly the reference report restricted to
-        // its range.
+        // its range, and its counter counts exactly its report.
         for (shard, shard_repair) in router_repair.shard_repairs.iter().enumerate() {
+            let invalidated_delta = router_stats_mid.per_shard[shard].rows_invalidated
+                - router_stats_before.per_shard[shard].rows_invalidated;
+            assert_eq!(
+                invalidated_delta,
+                shard_repair
+                    .as_ref()
+                    .map_or(0, |repair| repair.invalidated_rows.len() as u64),
+                "round {round}: shard {shard} rows_invalidated must count its recomputed set"
+            );
             let range = &router.plan().ranges()[shard];
             let in_range =
                 |rows: &[usize]| rows.iter().copied().filter(|r| range.contains(r)).count();
@@ -608,66 +615,41 @@ pub fn replay_differential_sharded(
                         .copied()
                         .filter(|r| range.contains(r))
                         .collect();
+                    let (in_range_invalid, out_of_range_invalid): (Vec<usize>, Vec<usize>) = repair
+                        .invalidated_rows
+                        .iter()
+                        .partition(|r| range.contains(r));
                     assert_eq!(
-                        repair.invalidated_rows, expected_invalid,
+                        in_range_invalid, expected_invalid,
                         "round {round}: shard {shard} invalidated rows must be the \
                          reference set restricted to {range:?}"
                     );
+                    // Outside its range a shard recomputes only its own
+                    // re-encoded nodes (their `α·H_u` term); those rows are
+                    // never served from this shard.
+                    for row in out_of_range_invalid {
+                        assert!(
+                            repair.embedding_rows.binary_search(&row).is_ok(),
+                            "round {round}: shard {shard} recomputed out-of-range row {row} \
+                             that it did not re-encode"
+                        );
+                    }
                 }
             }
         }
 
-        // Served parity on a full canonical-order query — which also
-        // re-warms both sides for the next round — with exact per-shard
-        // hit/miss/eviction accounting.
-        let reference_before = reference.stats();
-        let shard_before = router.stats().per_shard;
+        // Served parity on a full canonical-order query.
         let reference_served = reference
             .predict_batch(&all_nodes)
             .expect("reference query");
         let routed = router.predict_batch(&all_nodes).expect("routed query");
-        let reference_after = reference.stats();
-        let shard_after = router.stats().per_shard;
         assert_predictions_bitwise_eq(&routed, &reference_served, &format!("round {round}"));
-        assert_eq!(
-            (reference_after.cache_misses - reference_before.cache_misses) as usize,
-            reference_repair.invalidated_rows.len(),
-            "round {round}: reference misses must equal the invalidated set"
-        );
-        for shard in 0..shards {
-            let range = &router.plan().ranges()[shard];
-            let range_len = range.end - range.start;
-            let invalidated_here = reference_repair
-                .invalidated_rows
-                .iter()
-                .filter(|r| range.contains(r))
-                .count();
-            let misses =
-                (shard_after[shard].cache_misses - shard_before[shard].cache_misses) as usize;
-            let hits = (shard_after[shard].cache_hits - shard_before[shard].cache_hits) as usize;
-            assert_eq!(
-                misses, invalidated_here,
-                "round {round}: shard {shard} must miss exactly its invalidated rows"
-            );
-            assert_eq!(
-                hits,
-                range_len - invalidated_here,
-                "round {round}: shard {shard} rows outside the invalidated set must \
-                 survive in cache"
-            );
-            assert_eq!(
-                shard_after[shard].cache_evictions, shard_before[shard].cache_evictions,
-                "round {round}: shard {shard} saw capacity evictions with a full-size cache"
-            );
-        }
 
         // Interleaved similarity, post-repair: answers rank the freshly
         // patched operator rows and must again agree bitwise. Measured
         // tightly so the counter deltas are attributable: similarity moves
         // `similar_queries`/`similar_routed` by exactly the query count and
-        // leaves the `Ẑ` row cache untouched (hits *and* misses) — the
-        // cache-profile contrast with predict traffic that the serving
-        // bench records.
+        // never counts as served predictions.
         let sim_stats_before = router.stats();
         let reference_post = reference
             .most_similar_batch(&queries)
@@ -697,12 +679,12 @@ pub fn replay_differential_sharded(
             "round {round}: a non-empty similarity batch dispatches at least one sub-batch"
         );
         assert_eq!(
-            sim_stats_after.engines.cache_hits, sim_stats_before.engines.cache_hits,
-            "round {round}: similarity traffic must not hit the Ẑ cache"
+            sim_stats_after.engines.nodes_served, sim_stats_before.engines.nodes_served,
+            "round {round}: similarity traffic must not count as served predictions"
         );
         assert_eq!(
-            sim_stats_after.engines.cache_misses, sim_stats_before.engines.cache_misses,
-            "round {round}: similarity traffic must not miss (= populate) the Ẑ cache"
+            sim_stats_after.batches_routed, sim_stats_before.batches_routed,
+            "round {round}: similarity traffic must not count as routed predictions"
         );
 
         report.rounds += 1;
@@ -755,6 +737,6 @@ mod tests {
         assert_eq!(report.rounds, 1);
         assert_eq!(report.operator_rows_patched, 0);
         assert_eq!(report.embedding_rows_patched, 0);
-        assert_eq!(report.cache_rows_invalidated, 0);
+        assert_eq!(report.rows_invalidated, 0);
     }
 }

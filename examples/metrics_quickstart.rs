@@ -28,17 +28,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = random_graph(120, 10, 7);
     let mut fixture = serving_fixture(&graph, 8, 7);
     let n = graph.num_nodes();
-    let engine = sigma_serve::InferenceEngine::new(
-        &fixture.snapshot,
-        sigma_serve::EngineConfig {
-            cache_capacity: n / 2,
-            workers: 0,
-            max_chunk: 32,
-        },
-    )?;
+    let engine =
+        sigma_serve::InferenceEngine::new(&fixture.snapshot, sigma_serve::EngineConfig::default())?;
 
-    // 2. Traffic: a batch sweep (cold), repeats (cache hits), single
-    //    queries, then an edge edit followed by an incremental repair.
+    // 2. Traffic: a batch sweep, a repeat, single queries, then an edge
+    //    edit followed by an incremental repair.
     let all: Vec<usize> = (0..n).collect();
     let _ = engine.predict_batch(&all)?;
     let _ = engine.predict_batch(&all[..n / 2])?;

@@ -1,11 +1,12 @@
 //! Serving quickstart: train SIGMA once, snapshot it to disk, then serve
-//! online node-classification queries from the snapshot — including cache
-//! behaviour and staleness under a stream of edge updates.
+//! online node-classification queries from the snapshot — including
+//! staleness under a stream of edge updates.
 //!
 //! This is the deployment path the precompute-then-serve design enables: the
 //! trained weights and the constant top-k SimRank operator are the whole
-//! model, so a query for `b` nodes costs `O(b·k·f)` row-sliced work instead
-//! of a full-graph forward pass.
+//! model, so the served logits are an `n × C` table computed once at engine
+//! start, and a query for `b` nodes is `b` row reads instead of a
+//! full-graph forward pass.
 //!
 //! Run with:
 //! ```sh
@@ -61,36 +62,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bytes as f64 / 1024.0
     );
 
-    // 3. Load and build the engine (one full-graph encoder pass, then every
-    //    query is row-sliced).
+    // 3. Load and build the engine: one full-graph encoder pass and one
+    //    SpMM materialise the logits table, so every query is a row read.
     let loaded = ServeSnapshot::load(&path)?;
     let start = Instant::now();
-    let engine = InferenceEngine::new(
-        &loaded,
-        EngineConfig {
-            cache_capacity: 512,
-            // 0 = auto: fan chunks out across the shared sigma-parallel pool
-            // (sized by SIGMA_NUM_THREADS / the core count).
-            workers: 0,
-            max_chunk: 64,
-        },
-    )?;
+    let engine = InferenceEngine::new(&loaded, EngineConfig::default())?;
     println!(
-        "engine   : {} nodes, {} classes, warmed in {:.2?}",
+        "engine   : {} nodes, {} classes, built in {:.2?}",
         engine.num_nodes(),
         engine.num_classes(),
         start.elapsed()
     );
 
-    // 4. Single queries: the second hit comes from the Ẑ-row cache.
+    // 4. A single query.
     let first = engine.predict(7)?;
-    let second = engine.predict(7)?;
-    println!(
-        "query 7  : label {} (true {}), cached: {} then {}",
-        first.label, labels[7], first.cached, second.cached
-    );
+    println!("query 7  : label {} (true {})", first.label, labels[7]);
 
-    // 5. A large batched query fans out across the worker pool.
+    // 5. A batched query over every node.
     let batch: Vec<usize> = (0..engine.num_nodes()).collect();
     let start = Instant::now();
     let served = engine.predict_batch(&batch)?;
@@ -102,19 +90,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         correct as f64 / served.len() as f64 * 100.0
     );
 
-    // 6. Edge updates arrive: affected cached rows are invalidated and
-    //    served predictions are flagged stale until an operator refresh.
+    // 6. Edge updates arrive: affected rows are marked stale, and served
+    //    predictions are flagged stale until a refresh or repair.
     let updates = [EdgeUpdate::Insert(7, 20), EdgeUpdate::Delete(3, 4)];
     let invalidated = engine.apply_edge_updates(&updates)?;
     let stale = engine.predict(7)?;
     println!(
-        "updates  : {} cached rows invalidated, node 7 stale: {}",
+        "updates  : {} rows marked stale, node 7 stale: {}",
         invalidated, stale.stale
     );
     let stats = engine.stats();
     println!(
-        "stats    : {} nodes served, {} hits / {} misses, {} rows invalidated",
-        stats.nodes_served, stats.cache_hits, stats.cache_misses, stats.rows_invalidated
+        "stats    : {} nodes served, {} rows invalidated",
+        stats.nodes_served, stats.rows_invalidated
     );
 
     std::fs::remove_file(&path).ok();

@@ -160,7 +160,7 @@ fn corrupt_shard_snapshot_names_the_failing_shard_in_a_typed_error() {
     // A shard fleet where one mapping fails its deferred `verify()`: the
     // router must refuse to construct with `ServeError::Shard` naming the
     // bad shard's index — never a panic, never a silently smaller fleet.
-    use sigma_serve::{EngineConfig, MappedSnapshot, ServeError, ShardRouter, SnapshotError};
+    use sigma_serve::{MappedSnapshot, ServeError, ShardRouter, SnapshotError};
     use sigma_testutil::{random_graph, serving_fixture};
     use std::sync::Arc;
 
@@ -180,11 +180,6 @@ fn corrupt_shard_snapshot_names_the_failing_shard_in_a_typed_error() {
     let mut corrupt = image.clone();
     corrupt[feat_offset + 3] ^= 0x40;
 
-    let config = EngineConfig {
-        cache_capacity: 24,
-        workers: 0,
-        max_chunk: 64,
-    };
     for bad_shard in [0usize, 2] {
         let snapshots: Vec<Arc<MappedSnapshot>> = (0..4)
             .map(|shard| {
@@ -194,7 +189,7 @@ fn corrupt_shard_snapshot_names_the_failing_shard_in_a_typed_error() {
                 Arc::new(MappedSnapshot::from_bytes(bytes).expect("payload damage opens fine"))
             })
             .collect();
-        let err = ShardRouter::from_mapped(snapshots, config).unwrap_err();
+        let err = ShardRouter::from_mapped(snapshots).unwrap_err();
         let rendered = err.to_string();
         match err {
             ServeError::Shard { shard, source } => {
@@ -224,5 +219,5 @@ fn corrupt_shard_snapshot_names_the_failing_shard_in_a_typed_error() {
     let snapshots: Vec<Arc<MappedSnapshot>> = (0..4)
         .map(|_| Arc::new(MappedSnapshot::from_bytes(&image).unwrap()))
         .collect();
-    assert!(ShardRouter::from_mapped(snapshots, config).is_ok());
+    assert!(ShardRouter::from_mapped(snapshots).is_ok());
 }

@@ -18,14 +18,6 @@ use sigma_serve::{
 use sigma_simrank::EdgeUpdate;
 use sigma_testutil::{random_graph, serving_fixture};
 
-fn engine_config(cache_capacity: usize) -> EngineConfig {
-    EngineConfig {
-        cache_capacity,
-        workers: 0,
-        max_chunk: 64,
-    }
-}
-
 fn assert_bitwise_eq(a: &Prediction, b: &Prediction) {
     assert_eq!(a.node, b.node);
     assert_eq!(a.label, b.label);
@@ -40,14 +32,8 @@ fn noop_edits_fan_repair_out_to_zero_shards() {
     let fixture = serving_fixture(&graph, 5, 7);
     let mut maintainer = fixture.maintainer;
     let shards = 4;
-    let router = ShardRouter::new(
-        &fixture.snapshot,
-        &ShardRouterConfig {
-            shards,
-            engine: engine_config(30),
-        },
-    )
-    .expect("router construction");
+    let router = ShardRouter::new(&fixture.snapshot, &ShardRouterConfig { shards })
+        .expect("router construction");
 
     // Pure no-op edits: the maintainer's graph never changes, so
     // `affected_nodes()` / `edited_nodes()` stay empty.
@@ -90,18 +76,12 @@ fn more_shards_than_nodes_pads_idle_engines_without_panicking() {
     let graph = random_graph(6, 3, 13);
     let fixture = serving_fixture(&graph, 3, 13);
     let shards = 16;
-    let router = ShardRouter::new(
-        &fixture.snapshot,
-        &ShardRouterConfig {
-            shards,
-            engine: engine_config(6),
-        },
-    )
-    .expect("16 shards over 6 nodes must construct");
+    let router = ShardRouter::new(&fixture.snapshot, &ShardRouterConfig { shards })
+        .expect("16 shards over 6 nodes must construct");
     assert_eq!(router.num_shards(), shards);
     assert_eq!(router.num_nodes(), 6);
 
-    let reference = InferenceEngine::new(&fixture.snapshot, engine_config(6)).unwrap();
+    let reference = InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).unwrap();
     let nodes: Vec<usize> = (0..6).collect();
     let routed = router.predict_batch(&nodes).expect("batch");
     let expected = reference.predict_batch(&nodes).expect("reference batch");
@@ -133,14 +113,7 @@ fn router_preserves_the_typed_error_surface() {
     let fixture = serving_fixture(&graph, 4, 3);
 
     // Zero shards is a configuration error, not a panic.
-    let err = ShardRouter::new(
-        &fixture.snapshot,
-        &ShardRouterConfig {
-            shards: 0,
-            engine: engine_config(12),
-        },
-    )
-    .unwrap_err();
+    let err = ShardRouter::new(&fixture.snapshot, &ShardRouterConfig { shards: 0 }).unwrap_err();
     assert!(
         matches!(err, ServeError::ShardConfig { shards: 0, .. }),
         "zero shards must surface as ShardConfig, got {err}"
@@ -148,18 +121,11 @@ fn router_preserves_the_typed_error_surface() {
     assert!(err.to_string().contains("shard"));
 
     // An empty mapped fleet is equally typed.
-    let err = ShardRouter::from_mapped(Vec::new(), engine_config(12)).unwrap_err();
+    let err = ShardRouter::from_mapped(Vec::new()).unwrap_err();
     assert!(matches!(err, ServeError::ShardConfig { shards: 0, .. }));
 
     // Out-of-range queries return InvalidQuery from both entry points.
-    let router = ShardRouter::new(
-        &fixture.snapshot,
-        &ShardRouterConfig {
-            shards: 3,
-            engine: engine_config(12),
-        },
-    )
-    .unwrap();
+    let router = ShardRouter::new(&fixture.snapshot, &ShardRouterConfig { shards: 3 }).unwrap();
     for err in [
         router.predict(12).unwrap_err(),
         router.predict_batch(&[0, 1, 99]).unwrap_err(),
@@ -181,27 +147,18 @@ fn edge_update_fanout_invalidates_exactly_what_one_engine_would() {
     let graph = random_graph(40, 6, 21);
     let fixture = serving_fixture(&graph, 5, 21);
     let shards = 5;
-    let router = ShardRouter::new(
-        &fixture.snapshot,
-        &ShardRouterConfig {
-            shards,
-            engine: engine_config(40),
-        },
-    )
-    .unwrap();
-    let reference = InferenceEngine::new(&fixture.snapshot, engine_config(40)).unwrap();
+    let router = ShardRouter::new(&fixture.snapshot, &ShardRouterConfig { shards }).unwrap();
+    let reference = InferenceEngine::new(&fixture.snapshot, EngineConfig::default()).unwrap();
 
-    // Warm every cache on both sides so invalidation counts are comparable.
     let nodes: Vec<usize> = (0..40).collect();
     let routed = router.predict_batch(&nodes).unwrap();
     let expected = reference.predict_batch(&nodes).unwrap();
     for (a, b) in routed.iter().zip(&expected) {
         assert_bitwise_eq(a, b);
     }
-    assert_eq!(router.cached_rows(), reference.cached_rows());
 
-    // One real edit: the router invalidates the same number of cached rows
-    // as the single engine, marks the same nodes stale, and skips every
+    // One real edit: the router marks the same rows stale as the single
+    // engine (each row counted once, on its owner shard), and skips every
     // shard the footprint provably misses.
     let (u, v) = graph.edges().next().expect("graph has edges");
     let updates = [EdgeUpdate::Delete(u, v)];
@@ -209,6 +166,18 @@ fn edge_update_fanout_invalidates_exactly_what_one_engine_would() {
     let engine_invalidated = reference.apply_edge_updates(&updates).unwrap();
     assert_eq!(router_invalidated, engine_invalidated);
     assert_eq!(router.stale_nodes(), reference.stale_nodes());
+    assert_eq!(
+        router_invalidated,
+        router.stale_nodes().len(),
+        "the count is the number of rows marked stale"
+    );
+    // Staleness is visible on the served answers, identically.
+    let routed = router.predict_batch(&nodes).unwrap();
+    let expected = reference.predict_batch(&nodes).unwrap();
+    for (a, b) in routed.iter().zip(&expected) {
+        assert_bitwise_eq(a, b);
+        assert_eq!(a.stale, b.stale, "staleness diverges at node {}", a.node);
+    }
     assert!(
         !router.stale_nodes().is_empty(),
         "a real edit marks staleness"
