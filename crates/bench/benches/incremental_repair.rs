@@ -6,15 +6,19 @@
 //! `DynamicSimRank::repair` after `k` edge edits, patching only the dirty
 //! region. Push counts are deterministic, so the bench *asserts* the
 //! locality claim (repair re-pushes strictly fewer seeds than the full run)
-//! and reports wall-clock times; everything is also emitted as
-//! `BENCH_incremental.json` at the repository root to seed the performance
-//! trajectory.
+//! and reports wall-clock times, each the median of [`SAMPLES`] independent
+//! measurements; everything is also emitted as `BENCH_incremental.json` at
+//! the repository root to seed the performance trajectory.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sigma_bench::{BenchConfig, TablePrinter};
 use sigma_datasets::DatasetPreset;
 use sigma_simrank::{DynamicSimRank, EdgeUpdate, LocalPush, RepairOutcome, SimRankConfig};
 use std::time::Instant;
+
+/// Independent measurements per graph size; the reported times are their
+/// medians (a single run on a shared 2-core host varied up to 4×).
+const SAMPLES: usize = 5;
 
 struct Row {
     nodes: usize,
@@ -134,7 +138,18 @@ fn incremental_repair_benchmarks(_c: &mut Criterion) {
     let mut rows = Vec::new();
     for i in (0..3i32).rev() {
         let scale = cfg.scale * 1.6 / 2.5f64.powi(i);
-        let row = measure(scale, 4);
+        let samples: Vec<Row> = (0..SAMPLES).map(|_| measure(scale, 4)).collect();
+        let median = |time: fn(&Row) -> f64| {
+            let mut times: Vec<f64> = samples.iter().map(time).collect();
+            times.sort_by(f64::total_cmp);
+            times[SAMPLES / 2]
+        };
+        let (full_ms, repair_ms) = (median(|r| r.full_ms), median(|r| r.repair_ms));
+        let row = Row {
+            full_ms,
+            repair_ms,
+            ..samples.into_iter().next().expect("SAMPLES > 0")
+        };
         table.add_row(vec![
             row.nodes.to_string(),
             row.edges.to_string(),

@@ -195,7 +195,7 @@ impl Model for GloGnn {
         let mut d_a = d_h;
         d_a.scale((1.0 - self.delta) as f32);
         self.mlp_x.backward(&d_x)?;
-        self.mlp_a.backward(&d_a)?;
+        self.mlp_a.backward_sparse(&d_a)?;
         Ok(())
     }
 

@@ -130,7 +130,7 @@ impl Model for SigmaIterative {
         let mut d_a = grad;
         d_a.scale((1.0 - self.delta) as f32);
         self.embed_x.backward(&d_x)?;
-        self.embed_a.backward(&d_a)?;
+        self.embed_a.backward_sparse(&d_a)?;
         Ok(())
     }
 

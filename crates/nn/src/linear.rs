@@ -12,7 +12,8 @@ use sigma_parallel::ThreadPool;
 /// `dX = dY·Wᵀ`. For the LINKX/SIGMA `MLP(A)` component the input is a
 /// sparse adjacency matrix; [`Linear::forward_sparse`] performs the same
 /// computation without densifying `A` (the paper stresses this keeps the
-/// cost at `O(m·f)`).
+/// cost at `O(m·f)`), and [`Linear::backward_sparse`] keeps the backward
+/// pass at that cost by skipping the `n × n` input gradient.
 ///
 /// Every matrix product here (`X·W`, `A·W`, `Xᵀ·dY`, `dY·Wᵀ`) runs on the
 /// shared [`sigma_parallel::ThreadPool`] via the `sigma-matrix` kernels, and
@@ -129,7 +130,26 @@ impl Linear {
     /// Returns [`NnError::MissingForwardCache`] if no forward pass preceded
     /// this call.
     pub fn backward(&mut self, grad_output: &DenseMatrix) -> Result<DenseMatrix> {
-        // dW = Xᵀ·dY (dense or sparse input), db = column sums of dY.
+        self.accumulate_parameter_gradients(grad_output)?;
+        // dX = dY·Wᵀ.
+        Ok(grad_output.matmul_transpose_other(&self.weight)?)
+    }
+
+    /// Backward pass of [`Linear::forward_sparse`]: accumulates `dW = Aᵀ·dY`
+    /// and `db` exactly like [`Linear::backward`], but returns no input
+    /// gradient. The sparse input is data (the adjacency matrix of
+    /// `MLP(A)`), so its gradient — a dense `n × n` matrix for `A` — is
+    /// never needed.
+    ///
+    /// Returns [`NnError::MissingForwardCache`] if no forward pass preceded
+    /// this call.
+    pub fn backward_sparse(&mut self, grad_output: &DenseMatrix) -> Result<()> {
+        self.accumulate_parameter_gradients(grad_output)
+    }
+
+    /// Accumulates `dW = Xᵀ·dY` (dense or sparse cached input) and
+    /// `db = 1ᵀ·dY` — the parameter half of both backward passes.
+    fn accumulate_parameter_gradients(&mut self, grad_output: &DenseMatrix) -> Result<()> {
         let grad_w = if let Some(x) = &self.cached_input {
             x.matmul_transpose_self(grad_output)?
         } else if let Some(a) = &self.cached_sparse_input {
@@ -145,8 +165,7 @@ impl Linear {
             }
         }
         self.grad_bias.add_assign(&db)?;
-        // dX = dY·Wᵀ.
-        Ok(grad_output.matmul_transpose_other(&self.weight)?)
+        Ok(())
     }
 
     /// Clears accumulated gradients and cached activations.
@@ -170,6 +189,14 @@ impl Linear {
     /// L2 norm of the accumulated weight gradient (diagnostics/tests).
     pub fn grad_norm(&self) -> f32 {
         (self.grad_weight.frobenius_norm().powi(2) + self.grad_bias.frobenius_norm().powi(2)).sqrt()
+    }
+
+    /// The bit patterns of the accumulated `dW` and `db`, for bitwise
+    /// gradient checks in tests.
+    #[cfg(test)]
+    pub(crate) fn gradient_bits(&self) -> (Vec<u32>, Vec<u32>) {
+        let bits = |m: &DenseMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect();
+        (bits(&self.grad_weight), bits(&self.grad_bias))
     }
 
     fn add_bias(&self, out: &mut DenseMatrix) {
@@ -300,6 +327,27 @@ mod tests {
         {
             assert!((a - b).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn backward_sparse_accumulates_the_same_parameter_gradients() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let sparse =
+            CsrMatrix::from_triplets(4, 3, &[(0, 1, 1.0), (2, 0, 2.0), (3, 2, -1.0)]).unwrap();
+        let dy = DenseMatrix::from_fn(4, 2, |i, j| (i as f32 - j as f32) * 0.3);
+        let mut full = Linear::new(3, 2, &mut rng);
+        let mut params_only = full.clone();
+        full.forward_sparse(&sparse).unwrap();
+        full.backward(&dy).unwrap();
+        params_only.forward_sparse(&sparse).unwrap();
+        params_only.backward_sparse(&dy).unwrap();
+        assert_eq!(full.gradient_bits(), params_only.gradient_bits());
+        // Without a forward pass there is nothing to differentiate.
+        let mut fresh = Linear::new(3, 2, &mut rng);
+        assert!(matches!(
+            fresh.backward_sparse(&dy),
+            Err(NnError::MissingForwardCache { .. })
+        ));
     }
 
     #[test]

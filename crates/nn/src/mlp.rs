@@ -201,21 +201,35 @@ impl Mlp {
     /// returns the gradient with respect to the (dense) input of the first
     /// layer.
     ///
-    /// For sparse-input MLPs the returned matrix is the gradient w.r.t. the
-    /// dense equivalent of the sparse input and is normally discarded.
+    /// After [`Mlp::forward_sparse`] use [`Mlp::backward_sparse`] instead:
+    /// this method would form the dense gradient w.r.t. the sparse input
+    /// (`n × n` for an adjacency matrix) only for the caller to discard it.
     pub fn backward(&mut self, grad_output: &DenseMatrix) -> Result<DenseMatrix> {
+        let grad = self.backward_hidden(grad_output)?;
+        self.layers[0].backward(&grad)
+    }
+
+    /// Backward pass of [`Mlp::forward_sparse`]: accumulates the same
+    /// parameter gradients as [`Mlp::backward`], bit for bit, but returns no
+    /// input gradient — the sparse input is data, not a parameter.
+    pub fn backward_sparse(&mut self, grad_output: &DenseMatrix) -> Result<()> {
+        let grad = self.backward_hidden(grad_output)?;
+        self.layers[0].backward_sparse(&grad)
+    }
+
+    /// Backpropagates through every layer but the first, returning the
+    /// gradient w.r.t. the first layer's output.
+    fn backward_hidden(&mut self, grad_output: &DenseMatrix) -> Result<DenseMatrix> {
         let cache = self
             .cache
             .take()
             .ok_or(NnError::MissingForwardCache { layer: "Mlp" })?;
         let mut grad = grad_output.clone();
-        for layer_idx in (0..self.layers.len()).rev() {
+        for layer_idx in (1..self.layers.len()).rev() {
             grad = self.layers[layer_idx].backward(&grad)?;
-            if layer_idx > 0 {
-                let hidden_idx = layer_idx - 1;
-                grad = cache.dropout_masks[hidden_idx].backward(&grad);
-                grad = relu_backward(&grad, &cache.pre_activations[hidden_idx]);
-            }
+            let hidden_idx = layer_idx - 1;
+            grad = cache.dropout_masks[hidden_idx].backward(&grad);
+            grad = relu_backward(&grad, &cache.pre_activations[hidden_idx]);
         }
         Ok(grad)
     }
@@ -385,6 +399,38 @@ mod tests {
         for (a, b) in y1.as_slice().iter().zip(y2.as_slice()) {
             assert!((a - b).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn backward_sparse_parameter_gradients_equal_backward_bitwise() {
+        // A 3-layer MLP with dropout in training mode over a sparse
+        // adjacency-like input: both passes must accumulate identical bits
+        // in every layer, and only `backward` forms the input gradient.
+        let n = 9;
+        let triplets: Vec<(usize, usize, f32)> = (0..n)
+            .flat_map(|i| [(i, (i + 1) % n, 1.0), (i, (i + 4) % n, 0.5)])
+            .collect();
+        let adjacency = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
+        let cfg = MlpConfig::new(n, 6, 3, 3).with_dropout(0.25);
+        let mut full = Mlp::new(cfg, &mut StdRng::seed_from_u64(4));
+        let mut params_only = Mlp::new(cfg, &mut StdRng::seed_from_u64(4));
+        let dy = DenseMatrix::from_fn(n, 3, |i, j| ((i * 3 + j) as f32 * 0.7).sin());
+
+        full.forward_sparse(&adjacency, true, &mut StdRng::seed_from_u64(5))
+            .unwrap();
+        let dx = full.backward(&dy).unwrap();
+        assert_eq!(dx.shape(), (n, n));
+        params_only
+            .forward_sparse(&adjacency, true, &mut StdRng::seed_from_u64(5))
+            .unwrap();
+        params_only.backward_sparse(&dy).unwrap();
+
+        for (a, b) in full.layers().iter().zip(params_only.layers()) {
+            assert_eq!(a.gradient_bits(), b.gradient_bits());
+        }
+        assert!(full.grad_norm() > 0.0);
+        // The forward cache is consumed either way.
+        assert!(params_only.backward_sparse(&dy).is_err());
     }
 
     #[test]

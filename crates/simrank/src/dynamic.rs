@@ -21,7 +21,7 @@
 //! paper cites (Wang et al., ICDE'18) without reproducing its full
 //! differential push machinery.
 
-use crate::fxhash::FxHashSet;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::incremental::DecomposedScores;
 use crate::localpush::LocalPush;
 use crate::{Result, SimRankConfig, SimRankError, SparseScores};
@@ -168,54 +168,83 @@ impl DynamicSimRank {
 
     /// Applies one edge update to the graph and records the affected region.
     pub fn apply(&mut self, update: EdgeUpdate) -> Result<()> {
-        let (u, v, insert) = match update {
-            EdgeUpdate::Insert(u, v) => (u, v, true),
-            EdgeUpdate::Delete(u, v) => (u, v, false),
-        };
-        let n = self.graph.num_nodes();
-        if u >= n || v >= n {
-            return Err(SimRankError::NodeOutOfBounds {
-                node: u.max(v),
-                num_nodes: n,
-            });
-        }
-        // No-op edits (duplicate inserts, self-loops, missing deletes) leave
-        // the topology — and therefore the scores — untouched; record
-        // nothing so they neither burn staleness budget nor dirty repairs.
-        let changes = if insert {
-            u != v && !self.graph.has_edge(u, v)
-        } else {
-            self.graph.has_edge(u, v)
-        };
-        if !changes {
-            return Ok(());
-        }
-        // Mark the endpoints and their current neighbourhoods stale *before*
-        // rebuilding, so deletions also record the old neighbours.
-        for &endpoint in &[u, v] {
-            self.affected.insert(endpoint as u32);
-            self.edited.insert(endpoint as u32);
-            for &w in self.graph.neighbors(endpoint) {
-                self.affected.insert(w);
-            }
-        }
-        let mut edges: Vec<(usize, usize)> = self.graph.edges().collect();
-        if insert {
-            edges.push((u, v));
-        } else {
-            edges.retain(|&(a, b)| !((a == u && b == v) || (a == v && b == u)));
-        }
-        self.graph = Graph::from_edges(n, &edges)?;
-        self.pending_edits += 1;
-        Ok(())
+        self.apply_batch(std::slice::from_ref(&update))
     }
 
-    /// Applies a batch of updates.
+    /// Applies a batch of updates in order, rebuilding the graph once.
+    ///
+    /// The semantics are exactly those of applying the updates one by one:
+    /// each edit is checked for being a no-op against the graph as the
+    /// earlier edits of the batch left it, and records the neighbourhoods
+    /// its endpoints had at that point. On an out-of-range update the edits
+    /// before it stay applied and the error is returned.
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<()> {
+        let n = self.graph.num_nodes();
+        // Sorted adjacency lists of the nodes the batch has changed so far;
+        // every other node still reads its list from `self.graph`.
+        let mut touched: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
+        let mut outcome = Ok(());
         for &update in updates {
-            self.apply(update)?;
+            let (u, v, insert) = match update {
+                EdgeUpdate::Insert(u, v) => (u, v, true),
+                EdgeUpdate::Delete(u, v) => (u, v, false),
+            };
+            if u >= n || v >= n {
+                outcome = Err(SimRankError::NodeOutOfBounds {
+                    node: u.max(v),
+                    num_nodes: n,
+                });
+                break;
+            }
+            // No-op edits (duplicate inserts, self-loops, missing deletes)
+            // leave the topology — and therefore the scores — untouched;
+            // record nothing so they neither burn staleness budget nor
+            // dirty repairs.
+            let present = neighbours(&self.graph, &touched, u)
+                .binary_search(&(v as u32))
+                .is_ok();
+            let changes = if insert { u != v && !present } else { present };
+            if !changes {
+                continue;
+            }
+            // Mark the endpoints and their current neighbourhoods stale
+            // *before* editing, so deletions also record the old neighbours.
+            for &endpoint in &[u, v] {
+                self.affected.insert(endpoint as u32);
+                self.edited.insert(endpoint as u32);
+                self.affected
+                    .extend(neighbours(&self.graph, &touched, endpoint).iter().copied());
+            }
+            for (a, b) in [(u, v), (v, u)] {
+                let list = touched
+                    .entry(a as u32)
+                    .or_insert_with(|| self.graph.neighbors(a).to_vec());
+                match list.binary_search(&(b as u32)) {
+                    Ok(i) if !insert => {
+                        list.remove(i);
+                    }
+                    Err(i) if insert => list.insert(i, b as u32),
+                    _ => unreachable!("the no-op check above saw the same lists"),
+                }
+            }
+            self.pending_edits += 1;
         }
-        Ok(())
+        if !touched.is_empty() {
+            // Untouched nodes keep their edges to each other; every edge
+            // with a touched endpoint comes from the touched lists (twice
+            // when both endpoints are touched — `from_edges` deduplicates).
+            let is_touched = |w: usize| touched.contains_key(&(w as u32));
+            let mut edges: Vec<(usize, usize)> = self
+                .graph
+                .edges()
+                .filter(|&(a, b)| !is_touched(a) && !is_touched(b))
+                .collect();
+            for (&a, list) in &touched {
+                edges.extend(list.iter().map(|&b| (a as usize, b as usize)));
+            }
+            self.graph = Graph::from_edges(n, &edges)?;
+        }
+        outcome
     }
 
     /// Whether the cached scores are stale enough that the next operator
@@ -335,6 +364,18 @@ impl DynamicSimRank {
     }
 }
 
+/// The current neighbours of `node` during a batch: its edited list if the
+/// batch has touched it, else its list in `graph`.
+fn neighbours<'a>(
+    graph: &'a Graph,
+    touched: &'a FxHashMap<u32, Vec<u32>>,
+    node: usize,
+) -> &'a [u32] {
+    touched
+        .get(&(node as u32))
+        .map_or_else(|| graph.neighbors(node), Vec::as_slice)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,6 +468,73 @@ mod tests {
         assert_eq!(dyn_sim.pending_edits(), 0);
         assert!(dyn_sim.affected_nodes().is_empty());
         assert!(dyn_sim.edited_nodes().is_empty());
+    }
+
+    /// Applies `updates` once as a batch and once edit by edit, and asserts
+    /// the two maintainers agree on everything an edit records.
+    fn assert_batch_matches_one_by_one(graph: Graph, updates: &[EdgeUpdate]) {
+        let cfg = SimRankConfig::default();
+        let mut batched = DynamicSimRank::new(graph.clone(), cfg, 1000).unwrap();
+        let mut single = DynamicSimRank::new(graph, cfg, 1000).unwrap();
+        let batch_result = batched.apply_batch(updates);
+        let mut single_result = Ok(());
+        for &update in updates {
+            single_result = single.apply(update);
+            if single_result.is_err() {
+                break;
+            }
+        }
+        assert_eq!(batch_result.is_err(), single_result.is_err());
+        let edges = |d: &DynamicSimRank| d.graph().edges().collect::<Vec<_>>();
+        assert_eq!(edges(&batched), edges(&single));
+        assert_eq!(batched.pending_edits(), single.pending_edits());
+        assert_eq!(batched.affected_nodes(), single.affected_nodes());
+        assert_eq!(batched.edited_nodes(), single.edited_nodes());
+    }
+
+    #[test]
+    fn batch_application_matches_one_by_one() {
+        use EdgeUpdate::{Delete, Insert};
+        // Insert-then-delete of the same edge, duplicate inserts, a missing
+        // delete, a self-loop, and delete-then-reinsert of a ring edge.
+        assert_batch_matches_one_by_one(
+            ring(12),
+            &[
+                Insert(0, 6),
+                Insert(6, 0),
+                Delete(0, 6),
+                Insert(0, 1),
+                Delete(3, 9),
+                Insert(4, 4),
+                Delete(2, 3),
+                Insert(3, 2),
+                Insert(5, 9),
+                Delete(9, 5),
+                Insert(5, 9),
+            ],
+        );
+        // An out-of-range edit mid-batch keeps the edits before it.
+        assert_batch_matches_one_by_one(ring(12), &[Insert(0, 6), Insert(1, 99), Insert(2, 8)]);
+        // A longer pseudo-random trace over a small node set, so edits
+        // collide with each other and with the ring.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        let trace: Vec<EdgeUpdate> = (0..200)
+            .map(|_| {
+                let (u, v) = (next(16), next(16));
+                if next(3) == 0 {
+                    Delete(u, v)
+                } else {
+                    Insert(u, v)
+                }
+            })
+            .collect();
+        assert_batch_matches_one_by_one(ring(16), &trace);
     }
 
     #[test]

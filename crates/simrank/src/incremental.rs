@@ -29,7 +29,7 @@
 //! served logits at 1 and 4 threads.
 
 use crate::fxhash::{pair_key, unpack_pair, FxHashMap, FxHashSet};
-use crate::localpush::{SparseScores, RELATIVE_PRUNE_FRACTION};
+use crate::localpush::{SparseScores, LOCALPUSH_PUSHES, LOCALPUSH_RUNS, RELATIVE_PRUNE_FRACTION};
 use crate::SimRankConfig;
 use sigma_graph::Graph;
 use sigma_parallel::ThreadPool;
@@ -165,26 +165,86 @@ impl DecomposedScores {
 
     /// Re-assembles the listed score rows of `scores` from the cached seed
     /// contributions, replacing whatever the rows held, and re-prunes them.
+    /// `rows` may be unsorted and may repeat; each distinct row is assembled
+    /// once.
     ///
     /// Summation replays the canonical order (seeds ascending, entries in
     /// absorb order), so a row assembled here is bitwise identical to the
     /// same row of [`DecomposedScores::assemble`] on an equal decomposition.
+    ///
+    /// Every selected row is built in one pass over the cached seeds: a
+    /// row-selection mask picks the selected rows out of each seed's
+    /// contribution list, so the cost is one scan of the seeds' row headers
+    /// plus the selected rows' entries — linear in the decomposition rather
+    /// than a search per (row, seed) pair. Disjoint ranges of the selected
+    /// rows are assembled in parallel on the shared pool; every range
+    /// replays the same seed order, so the result is independent of the
+    /// thread count.
     pub fn assemble_rows_into(&self, scores: &mut SparseScores, rows: &[usize]) {
-        for &u in rows {
-            let mut row: FxHashMap<u32, f32> = FxHashMap::default();
-            let target = u as u32;
-            for run in &self.seeds {
-                if let Ok(i) = run.rows.binary_search_by_key(&target, |&(r, _)| r) {
-                    for &(v, s) in &run.rows[i].1 {
-                        *row.entry(v).or_insert(0.0) += s;
-                    }
-                }
-            }
+        let mut rows = rows.to_vec();
+        rows.sort_unstable();
+        rows.dedup();
+        let _span = sigma_obs::span!("simrank_assemble", rows.len());
+        if rows.is_empty() {
+            return;
+        }
+        // Row-selection mask: the position of each selected row in `rows`.
+        let mut slot = vec![UNSELECTED; self.num_nodes];
+        for (i, &u) in rows.iter().enumerate() {
+            slot[u] = i as u32;
+        }
+        let work: usize = self.seeds.iter().map(|run| run.rows.len()).sum();
+        let pool = ThreadPool::global();
+        let parts = if rows.len() > 1 && pool.should_parallelize(work) {
+            pool.par_map_ranges(rows.len(), |range| {
+                self.assemble_range(&rows[range.clone()], range.start, &slot)
+            })
+        } else {
+            vec![self.assemble_range(&rows, 0, &slot)]
+        };
+        for (&u, row) in rows.iter().zip(parts.into_iter().flatten()) {
             scores.set_row(u, row);
         }
-        scores.prune_rows_relative(rows, RELATIVE_PRUNE_FRACTION);
+    }
+
+    /// Assembles and prunes one range of selected rows (`rows` sorted and
+    /// duplicate-free, `rows[i]` holding mask slot `first_slot + i`).
+    /// Because the range is sorted, each seed's contribution list is only
+    /// scanned between the range's first and last row id.
+    fn assemble_range(
+        &self,
+        rows: &[usize],
+        first_slot: usize,
+        slot: &[u32],
+    ) -> Vec<FxHashMap<u32, f32>> {
+        let mut out: Vec<FxHashMap<u32, f32>> = rows.iter().map(|_| FxHashMap::default()).collect();
+        let (lo, hi) = (rows[0] as u32, rows[rows.len() - 1] as u32);
+        for run in &self.seeds {
+            let start = run.rows.partition_point(|&(r, _)| r < lo);
+            for (r, entries) in &run.rows[start..] {
+                if *r > hi {
+                    break;
+                }
+                let s = slot[*r as usize];
+                if s == UNSELECTED {
+                    continue;
+                }
+                let row = &mut out[s as usize - first_slot];
+                for &(v, x) in entries {
+                    *row.entry(v).or_insert(0.0) += x;
+                }
+            }
+        }
+        for (row, &u) in out.iter_mut().zip(rows) {
+            SparseScores::prune_row_relative(u, row, RELATIVE_PRUNE_FRACTION);
+        }
+        out
     }
 }
+
+/// Row-selection mask value of a row [`DecomposedScores::assemble_rows_into`]
+/// was not asked for.
+const UNSELECTED: u32 = u32::MAX;
 
 /// Runs the independent push processes of the listed seeds on the shared
 /// pool and returns them in seed order. Seed costs are heavily skewed (a
@@ -195,7 +255,9 @@ impl DecomposedScores {
 /// per seed; full-graph runs are batched into contiguous weight-balanced
 /// runs instead of paying one scoped task per node. Each process is fully
 /// serial, so the results are bitwise identical at every thread count and
-/// batching choice.
+/// batching choice. Each seed process counts as one
+/// `sigma_localpush_runs_total` run, and its absorptions land in
+/// `sigma_localpush_pushes_total`.
 pub(crate) fn run_seeds(
     graph: &Graph,
     config: SimRankConfig,
@@ -224,9 +286,13 @@ pub(crate) fn run_seeds(
                 + 1
         })
         .collect();
-    ThreadPool::global().par_map_weighted(seeds, &weights, |&seed| {
+    let _span = sigma_obs::span!("localpush_decomposed", seeds.len());
+    let runs = ThreadPool::global().par_map_weighted(seeds, &weights, |&seed| {
         seed_run(graph, &inv_deg, seed, c, threshold, budget)
-    })
+    });
+    LOCALPUSH_RUNS.add(runs.len() as u64);
+    LOCALPUSH_PUSHES.add(runs.iter().map(SeedRun::pushes).sum::<usize>() as u64);
+    runs
 }
 
 /// One seed's complete push process: rounds of threshold-exceeding frontier
@@ -333,6 +399,98 @@ mod tests {
                 row
             })
             .collect()
+    }
+
+    /// The reference assembly: every row on its own, summing each seed's
+    /// contribution found by binary search, seeds ascending. Quadratic, and
+    /// kept here only as the oracle the one-pass assembly must match.
+    fn oracle_assemble_rows_into(
+        decomposed: &DecomposedScores,
+        scores: &mut SparseScores,
+        rows: &[usize],
+    ) {
+        for &u in rows {
+            let mut row: FxHashMap<u32, f32> = FxHashMap::default();
+            let target = u as u32;
+            for run in &decomposed.seeds {
+                if let Ok(i) = run.rows.binary_search_by_key(&target, |&(r, _)| r) {
+                    for &(v, s) in &run.rows[i].1 {
+                        *row.entry(v).or_insert(0.0) += s;
+                    }
+                }
+            }
+            SparseScores::prune_row_relative(u, &mut row, RELATIVE_PRUNE_FRACTION);
+            scores.set_row(u, row);
+        }
+    }
+
+    /// Row contents in storage order, as bits: equal only if the values are
+    /// bitwise equal *and* each row map saw the same insertion sequence.
+    fn scores_in_storage_order(s: &SparseScores) -> Vec<Vec<(usize, u32)>> {
+        (0..s.num_nodes())
+            .map(|u| s.row(u).map(|(v, x)| (v, x.to_bits())).collect())
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_assembly_matches_the_per_row_oracle() {
+        // A chorded ring large enough that the full assembly crosses the
+        // pool's parallel-work threshold.
+        let n = 2600;
+        let mut edges = Vec::new();
+        for u in 0..n {
+            for step in [1usize, 2, 3, 5, 8, 13] {
+                edges.push((u, (u + step) % n));
+            }
+        }
+        let g = Graph::from_edges(n, &edges).unwrap();
+        let decomposed = LocalPush::new(&g, SimRankConfig::default())
+            .unwrap()
+            .run_decomposed();
+        let all: Vec<usize> = (0..n).collect();
+        let mut oracle_full = SparseScores::new(n);
+        oracle_assemble_rows_into(&decomposed, &mut oracle_full, &all);
+        let expected_full = scores_in_storage_order(&oracle_full);
+
+        let selections: [Vec<usize>; 5] = [
+            vec![],
+            vec![17],
+            vec![2500, 3, 99, 42, 3, 0, n - 1, 2500, 128],
+            (0..n).rev().step_by(7).collect(),
+            (0..n).chain(0..n).collect(),
+        ];
+        for threads in [1, 4] {
+            sigma_parallel::set_global_threads(threads);
+            if threads > 1 {
+                let work: usize = decomposed.seeds.iter().map(|r| r.rows.len()).sum();
+                assert!(ThreadPool::global().should_parallelize(work), "work {work}");
+            }
+            let full = decomposed.assemble();
+            assert_eq!(
+                scores_in_storage_order(&full),
+                expected_full,
+                "assemble() at {threads} threads"
+            );
+            for rows in &selections {
+                // Start from stale contents so replaced rows are visible.
+                let mut got = oracle_full.clone();
+                let mut want = oracle_full.clone();
+                for &u in rows {
+                    got.set_row(u, FxHashMap::default());
+                }
+                decomposed.assemble_rows_into(&mut got, rows);
+                oracle_assemble_rows_into(&decomposed, &mut want, rows);
+                assert_eq!(
+                    scores_in_storage_order(&got),
+                    scores_in_storage_order(&want),
+                    "rows {rows:?} at {threads} threads"
+                );
+            }
+            let mut empty = SparseScores::new(n);
+            decomposed.assemble_rows_into(&mut empty, &[]);
+            assert_eq!(empty.nnz(), 0);
+        }
+        sigma_parallel::set_global_threads(0);
     }
 
     #[test]

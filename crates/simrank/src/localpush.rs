@@ -58,15 +58,15 @@ use sigma_matrix::{kernels, CsrMatrix};
 use sigma_obs::StaticCounter;
 use sigma_parallel::{ScratchGuard, ScratchPool, ThreadPool};
 
-static LOCALPUSH_RUNS: StaticCounter = StaticCounter::new(
+pub(crate) static LOCALPUSH_RUNS: StaticCounter = StaticCounter::new(
     "sigma_localpush_runs_total",
-    "LocalPush solver runs (full solves and incremental seed re-runs)",
+    "LocalPush push processes run (one per coupled solve, one per seed of a decomposed solve or repair)",
 );
 static LOCALPUSH_ROUNDS: StaticCounter = StaticCounter::new(
     "sigma_localpush_rounds_total",
     "frontier rounds executed across all LocalPush runs",
 );
-static LOCALPUSH_PUSHES: StaticCounter = StaticCounter::new(
+pub(crate) static LOCALPUSH_PUSHES: StaticCounter = StaticCounter::new(
     "sigma_localpush_pushes_total",
     "residual pushes performed across all LocalPush runs",
 );
@@ -133,18 +133,11 @@ impl SparseScores {
         }
     }
 
-    /// Applies the relative pruning rule to the listed rows only (the
-    /// incremental-repair path, where untouched rows are already pruned).
-    pub(crate) fn prune_rows_relative(&mut self, rows: &[usize], fraction: f32) {
-        for &u in rows {
-            Self::prune_row_relative(u, &mut self.rows[u], fraction);
-        }
-    }
-
-    /// Per-row body of [`SparseScores::prune_relative`]. Every aggregate it
-    /// computes (the max, the retain predicate) is order-independent, so the
-    /// outcome is a pure function of the row's contents.
-    fn prune_row_relative(u: usize, row: &mut FxHashMap<u32, f32>, fraction: f32) {
+    /// Per-row body of [`SparseScores::prune_relative`], also applied by
+    /// row assembly to each row it builds. Every aggregate it computes (the
+    /// max, the retain predicate) is order-independent, so the outcome is a
+    /// pure function of the row's contents.
+    pub(crate) fn prune_row_relative(u: usize, row: &mut FxHashMap<u32, f32>, fraction: f32) {
         let row_max = row
             .iter()
             .filter(|(&v, _)| v as usize != u)
@@ -217,8 +210,10 @@ impl SparseScores {
                 if row_buf.len() > k {
                     // Canonical selection: score descending, column ascending
                     // on ties — a total order, so the kept set does not
-                    // depend on the (hash-map) traversal order above.
-                    row_buf.sort_unstable_by(|a, b| {
+                    // depend on the (hash-map) traversal order above, and a
+                    // linear-time selection keeps exactly the `k` entries a
+                    // full sort would put first.
+                    row_buf.select_nth_unstable_by(k, |a, b| {
                         b.1.partial_cmp(&a.1)
                             .unwrap_or(std::cmp::Ordering::Equal)
                             .then(a.0.cmp(&b.0))
